@@ -19,7 +19,9 @@
 //! - the PR-5 [`CompileCache`], now **single-flight**: a concurrent
 //!   miss on a key another thread is already compiling blocks until
 //!   that compile lands, so each unique unit compiles exactly once
-//!   even across concurrent requests,
+//!   even across concurrent requests; beneath it, a profile stage
+//!   value-profiles each training build once for all of its region
+//!   configurations and target inputs,
 //! - a [`SimResultCache`]: completed simulation outcomes keyed by the
 //!   planner's FNV-1a dedup keys (workload, input, scale, and the
 //!   region/machine/CRB `fields()` hashes), single-flight like the
@@ -402,6 +404,8 @@ impl Engine {
         // outlive this call, but each run reports only what it added.
         let cache = &self.compile_cache;
         let (hits_before, misses_before) = (cache.hits(), cache.misses());
+        let (profile_hits_before, profile_misses_before) =
+            (cache.profile_hits(), cache.profile_misses());
         let prep_items: Vec<Prep<'_>> = plan
             .compiles
             .iter()
@@ -439,7 +443,15 @@ impl Engine {
             },
         );
         harness.pool("prep", &prep_pool);
-        harness.compile_cache(cache.hits() - hits_before, cache.misses() - misses_before);
+        let profile_cache = (
+            cache.profile_hits() - profile_hits_before,
+            cache.profile_misses() - profile_misses_before,
+        );
+        harness.compile_cache(
+            cache.hits() - hits_before,
+            cache.misses() - misses_before,
+            profile_cache,
+        );
         let mut executed = Executed {
             specs: plan.specs.clone(),
             compiles: HashMap::new(),
@@ -462,6 +474,7 @@ impl Engine {
                 })
                 .collect(),
             cache: (cache.hits() - hits_before, cache.misses() - misses_before),
+            profile_cache,
         };
         for out in prep {
             match out? {
@@ -700,7 +713,9 @@ fn result_cache_key(unit_key: &str, fingerprint_window: Option<u64>) -> String {
 /// The suite pipeline body ([`crate::run_selected_harnessed`] and
 /// [`Engine::run_selected`] are thin wrappers): compiles then the
 /// per-workload {base, ccr} simulations fanned over `jobs` workers,
-/// optionally through the shared caches. The result cache embeds the
+/// optionally through the shared caches. Without a compile cache the
+/// compiles still go through a fresh one, so every suite path takes
+/// the same staged compile. The result cache embeds the
 /// simulation emulator limits in its keys (the suite path's sim
 /// limits are a parameter, unlike the experiment path where they
 /// always equal the compile config's).
@@ -725,6 +740,14 @@ pub(crate) fn run_selected_inner(
         2 * names.len() as u64,
         &[("jobs", jobs as u64)],
     );
+    let local_cache;
+    let cache = match cache {
+        Some(c) => c,
+        None => {
+            local_cache = CompileCache::new();
+            &local_cache
+        }
+    };
     let compile_labels: Vec<String> = names
         .iter()
         .map(|name| format!("compile:{name}:{input}@{scale}"))
@@ -738,13 +761,9 @@ pub(crate) fn run_selected_inner(
             |i, name| {
                 harness.task_start("compile", &compile_labels[i]);
                 let started = Instant::now();
-                let out = match cache {
-                    Some(cache) => cache
-                        .get_or_compile(name, target, scale, config)
-                        .map(|cw| ((*cw).clone(), started.elapsed().as_millis() as u64)),
-                    None => crate::compile_with(name, target, scale, config)
-                        .map(|cw| (cw, started.elapsed().as_millis() as u64)),
-                };
+                let out = cache
+                    .get_or_compile(name, target, scale, config)
+                    .map(|cw| ((*cw).clone(), started.elapsed().as_millis() as u64));
                 if let Ok((_, wall_ms)) = &out {
                     harness.task_finish("compile", &compile_labels[i], *wall_ms, None);
                 }

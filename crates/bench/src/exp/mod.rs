@@ -57,20 +57,20 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ccr_core::compile::{CompileConfig, CompiledWorkload};
+use ccr_core::compile::{compile_from_profile, profile_training, CompileConfig, CompiledWorkload};
 use ccr_core::harness::Harness;
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
 use ccr_core::telemetry::value::{self, Value};
 use ccr_core::telemetry::JsonWriter;
 use ccr_core::{config_hash, fnv1a_hex};
-use ccr_profile::{ReusePotential, RunOutcome};
+use ccr_profile::{ReusePotential, ReuseProfile, RunOutcome};
 use ccr_regions::RegionConfig;
 use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
 use ccr_workloads::InputSet;
 
-use crate::{compile_with, emu_config, SCALE};
+use crate::{emu_config, SCALE};
 
 /// One configuration a spec wants the workload selection run under.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl Scenario {
     }
 
     /// The compile configuration this scenario's workloads build with.
-    fn compile_config(&self) -> CompileConfig {
+    pub fn compile_config(&self) -> CompileConfig {
         CompileConfig {
             region: self.region,
             emu: emu_config(),
@@ -508,63 +508,53 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
     plan
 }
 
-/// A shared compile memo keyed by (workload, target input, scale,
-/// region-config hash): the fix for sweeps that vary only the CRB
-/// geometry recompiling an identical program per configuration.
-///
-/// Thread-safe and **single-flight**: a concurrent miss on a key
-/// another thread is already compiling blocks until that compile
-/// lands, then reads it as a hit — so each unique unit compiles
-/// exactly once even when [`crate::engine::Engine`] shares one cache
-/// across concurrent `ccr serve` requests, and the hit/miss totals
-/// stay deterministic. Compile errors are never cached (a blocked
-/// waiter retries with its own compile).
-#[derive(Default)]
-pub struct CompileCache {
-    state: Mutex<CompileCacheState>,
+/// A single-flight memo: each key's value is computed once, by the
+/// first caller that misses on it. A concurrent miss on a key another
+/// thread is already computing blocks until that computation lands,
+/// then reads it as a hit, so the hit/miss totals are deterministic.
+/// Errors are never cached (a blocked waiter retries with its own
+/// computation).
+struct Memo<V> {
+    state: Mutex<MemoState<V>>,
     cv: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-#[derive(Default)]
-struct CompileCacheState {
-    done: HashMap<String, Arc<CompiledWorkload>>,
-    /// Keys some thread is currently compiling.
+struct MemoState<V> {
+    done: HashMap<String, Arc<V>>,
+    /// Keys some thread is currently computing.
     pending: HashSet<String>,
 }
 
-impl CompileCache {
-    /// An empty cache.
-    pub fn new() -> CompileCache {
-        CompileCache::default()
+impl<V> Default for Memo<V> {
+    fn default() -> Self {
+        Memo {
+            state: Mutex::new(MemoState {
+                done: HashMap::new(),
+                pending: HashSet::new(),
+            }),
+            cv: Condvar::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
+}
 
-    /// Lookups that returned a previously compiled workload.
-    pub fn hits(&self) -> u64 {
+impl<V> Memo<V> {
+    fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to compile.
-    pub fn misses(&self) -> u64 {
+    fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Returns the cached compile of `(name, target, scale, config)`,
-    /// compiling and memoizing on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns the compile error (unknown benchmark, emulator limit
-    /// breach) without caching it.
-    pub fn get_or_compile(
+    fn get_or_try(
         &self,
-        name: &str,
-        target: InputSet,
-        scale: u32,
-        config: &CompileConfig,
-    ) -> Result<Arc<CompiledWorkload>, String> {
-        let key = compile_key(name, target, scale, config);
+        key: String,
+        compute: impl FnOnce() -> Result<Arc<V>, String>,
+    ) -> Result<Arc<V>, String> {
         let mut state = self.state.lock().expect("cache lock");
         loop {
             if let Some(hit) = state.done.get(&key) {
@@ -579,14 +569,109 @@ impl CompileCache {
         state.pending.insert(key.clone());
         self.misses.fetch_add(1, Ordering::Relaxed);
         drop(state);
-        let compiled = compile_with(name, target, scale, config);
+        let computed = compute();
         let mut state = self.state.lock().expect("cache lock");
         state.pending.remove(&key);
-        let out =
-            compiled.map(|cw| Arc::clone(state.done.entry(key).or_insert_with(|| Arc::new(cw))));
+        let out = computed.map(|v| Arc::clone(state.done.entry(key).or_insert(v)));
         drop(state);
         self.cv.notify_all();
         out
+    }
+}
+
+/// The key of the profile stage: workload, scale and the optimizer and
+/// emulator settings. The training input is implied, and the region
+/// configuration and target input are left out because the value
+/// profile of the optimized training build does not depend on them.
+pub(crate) fn profile_key(name: &str, scale: u32, config: &CompileConfig) -> String {
+    format!(
+        "{name}|{scale}|opt:{:?}|emu:{}/{}",
+        config.opt, config.emu.max_instrs, config.emu.max_depth,
+    )
+}
+
+/// A shared, staged compile memo. Compiles are keyed by (workload,
+/// target input, scale, region-config hash, optimizer and emulator
+/// settings): the fix for sweeps that vary only the CRB geometry
+/// recompiling an identical program per configuration. Beneath them
+/// sits the profile stage ([`ccr_core::compile::profile_training`]),
+/// keyed by [`profile_key`], so every region configuration and target
+/// input of one workload shares one value profile.
+///
+/// Thread-safe and **single-flight** at both stages: a concurrent
+/// miss on a key another thread is already computing blocks until
+/// that computation lands, then reads it as a hit — so each unique
+/// unit compiles, and each training build profiles, exactly once even
+/// when [`crate::engine::Engine`] shares one cache across concurrent
+/// `ccr serve` requests, and the hit/miss totals stay deterministic.
+/// Errors are never cached at either stage.
+#[derive(Default)]
+pub struct CompileCache {
+    compiles: Memo<CompiledWorkload>,
+    profiles: Memo<ReuseProfile>,
+}
+
+impl CompileCache {
+    /// An empty cache.
+    pub fn new() -> CompileCache {
+        CompileCache::default()
+    }
+
+    /// Lookups that returned a previously compiled workload.
+    pub fn hits(&self) -> u64 {
+        self.compiles.hits()
+    }
+
+    /// Lookups that had to compile.
+    pub fn misses(&self) -> u64 {
+        self.compiles.misses()
+    }
+
+    /// Compiles that reused a previously computed value profile.
+    pub fn profile_hits(&self) -> u64 {
+        self.profiles.hits()
+    }
+
+    /// Compiles that had to value-profile the training build.
+    pub fn profile_misses(&self) -> u64 {
+        self.profiles.misses()
+    }
+
+    /// Returns the cached compile of `(name, target, scale, config)`,
+    /// compiling and memoizing on first use. A compile miss takes the
+    /// training build's profile from the profile stage, profiling it
+    /// only if no earlier compile of the workload did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the compile error (unknown benchmark, emulator limit
+    /// breach) without caching it.
+    pub fn get_or_compile(
+        &self,
+        name: &str,
+        target: InputSet,
+        scale: u32,
+        config: &CompileConfig,
+    ) -> Result<Arc<CompiledWorkload>, String> {
+        self.compiles
+            .get_or_try(compile_key(name, target, scale, config), || {
+                let build = |input| {
+                    ccr_workloads::build(name, input, scale)
+                        .ok_or_else(|| format!("unknown benchmark `{name}`"))
+                };
+                let train = build(InputSet::Train)?;
+                let target = build(target)?;
+                let profile = self
+                    .profiles
+                    .get_or_try(profile_key(name, scale, config), || {
+                        profile_training(&train, config)
+                            .map(Arc::new)
+                            .map_err(|e| format!("{name}: {e}"))
+                    })?;
+                compile_from_profile(&profile, &train, &target, config)
+                    .map(Arc::new)
+                    .map_err(|e| format!("{name}: {e}"))
+            })
     }
 }
 
@@ -721,6 +806,8 @@ pub struct Executed<'s> {
     /// Compile-cache (hits, misses) delta for the run (satellite of
     /// the observability PR: counted since PR 5, now surfaced).
     pub(crate) cache: (u64, u64),
+    /// The compile cache's profile-stage (hits, misses) delta.
+    pub(crate) profile_cache: (u64, u64),
 }
 
 /// Identity of one unique CCR sweep point, kept by the executor so
@@ -849,6 +936,12 @@ impl<'s> Executed<'s> {
     /// them.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache
+    }
+
+    /// The compile cache's profile-stage `(hits, misses)` for the run:
+    /// the misses are the value-profiling runs the compiles made.
+    pub fn profile_cache_stats(&self) -> (u64, u64) {
+        self.profile_cache
     }
 
     /// Flattens every unique executed CCR point into a

@@ -92,19 +92,9 @@ pub fn compile_benchmark(
         emu: emu_config(),
         ..CompileConfig::paper()
     };
-    compile_with(name, target, scale, &config).expect("known benchmark, profiling within limits")
-}
-
-pub(crate) fn compile_with(
-    name: &str,
-    target: InputSet,
-    scale: u32,
-    config: &CompileConfig,
-) -> Result<CompiledWorkload, String> {
-    let train =
-        build(name, InputSet::Train, scale).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let target = build(name, target, scale).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    compile_ccr(&train, &target, config).map_err(|e| format!("{name}: {e}"))
+    let train = build(name, InputSet::Train, scale).expect("known benchmark");
+    let target = build(name, target, scale).expect("known benchmark");
+    compile_ccr(&train, &target, &config).expect("profiling within limits")
 }
 
 /// Runs a selection of benchmarks end-to-end under one configuration,

@@ -1,5 +1,15 @@
 //! The compile half of the pipeline: optimize → profile → form →
 //! annotate.
+//!
+//! Two stages share one code path. [`profile_training`] optimizes and
+//! value-profiles the training build; its result depends only on the
+//! training program and the optimizer and emulator settings.
+//! [`compile_from_profile`] does everything that also depends on the
+//! region configuration and the target build. [`compile_ccr`] is the
+//! two in sequence; a cache may keep the profile stage's output and
+//! run only the second stage for each further region configuration.
+
+use std::sync::Arc;
 
 use ccr_ir::Program;
 use ccr_opt::{OptConfig, PassRecord, RecordingObserver};
@@ -47,14 +57,16 @@ pub struct CompiledWorkload {
     pub annotated: Program,
     /// Metadata for every formed region.
     pub regions: Vec<RegionInfo>,
-    /// The training-run profile the regions were selected from.
-    pub profile: ReuseProfile,
+    /// The training-run profile the regions were selected from
+    /// (shared with any cache that holds the profile stage's result).
+    pub profile: Arc<ReuseProfile>,
     /// Compile-time observability (pass timings, formation stats).
     pub telemetry: CompileTelemetry,
 }
 
 /// Compiles `target` for CCR execution, selecting regions from a
-/// profile of `train`.
+/// profile of `train`: [`profile_training`] followed by
+/// [`compile_from_profile`].
 ///
 /// `train` and `target` must be two builds of the *same* program that
 /// differ only in data-object initializers (the paper's training vs
@@ -75,17 +87,57 @@ pub fn compile_ccr(
     target: &Program,
     config: &CompileConfig,
 ) -> Result<CompiledWorkload, EmuError> {
-    assert_eq!(
-        train.instr_count(),
-        target.instr_count(),
-        "train and target must be the same code (only data may differ)"
-    );
+    let profile = Arc::new(profile_training(train, config)?);
+    compile_from_profile(&profile, train, target, config)
+}
+
+/// The profile stage of [`compile_ccr`]: optimizes the training build
+/// and value-profiles it.
+///
+/// The result depends only on `train`, `config.opt` and `config.emu`,
+/// never on `config.region`, so one profile serves every region
+/// configuration and every target input of the same program.
+///
+/// # Errors
+///
+/// Returns [`EmuError`] if the profiling run exceeds emulator limits.
+pub fn profile_training(train: &Program, config: &CompileConfig) -> Result<ReuseProfile, EmuError> {
+    let train_opt = optimized(train, config);
+    let mut profiler = ValueProfiler::for_program(&train_opt);
+    Emulator::with_config(&train_opt, config.emu).run(&mut NullCrb, &mut profiler)?;
+    Ok(profiler.finish())
+}
+
+/// The rest of [`compile_ccr`] after the profile stage: optimizes both
+/// builds, forms regions on the training build from `profile`, runs
+/// the reiteration trial and annotates the target.
+///
+/// `profile` must come from [`profile_training`] on the same `train`
+/// with the same `config.opt` and `config.emu`; the compiled workload
+/// shares it.
+///
+/// # Errors
+///
+/// Returns [`EmuError`] if the reiteration trial exceeds emulator
+/// limits.
+///
+/// # Panics
+///
+/// Panics if `train` and `target` differ structurally, as
+/// [`compile_ccr`] does.
+pub fn compile_from_profile(
+    profile: &Arc<ReuseProfile>,
+    train: &Program,
+    target: &Program,
+    config: &CompileConfig,
+) -> Result<CompiledWorkload, EmuError> {
+    assert_same_code(train, target);
 
     // Optimize both builds identically; the optimizer is
-    // deterministic, so structure stays aligned. Pass records are
-    // taken from the target build (the one we measure).
-    let mut train_opt = train.clone();
-    ccr_opt::optimize(&mut train_opt, config.opt);
+    // deterministic, so structure stays aligned with the profiled
+    // build. Pass records are taken from the target build (the one we
+    // measure).
+    let train_opt = optimized(train, config);
     let mut base = target.clone();
     let mut observer = RecordingObserver::default();
     ccr_opt::optimize_observed(&mut base, config.opt, &mut observer);
@@ -95,15 +147,10 @@ pub fn compile_ccr(
         "optimizer must transform both builds identically"
     );
 
-    // Value-profile the optimized training build.
-    let mut profiler = ValueProfiler::for_program(&train_opt);
-    Emulator::with_config(&train_opt, config.emu).run(&mut NullCrb, &mut profiler)?;
-    let profile = profiler.finish();
-
     // Select regions on the training build.
     let mut formation = FormationStats::new();
     let mut specs =
-        ccr_regions::form_regions_observed(&train_opt, &profile, &config.region, &mut formation);
+        ccr_regions::form_regions_observed(&train_opt, profile, &config.region, &mut formation);
 
     // Reiteration (Section 4.4): trial-run the annotated training
     // build against an idealized buffer and discard regions whose
@@ -138,12 +185,26 @@ pub fn compile_ccr(
         base,
         annotated: annotated_target,
         regions,
-        profile,
+        profile: Arc::clone(profile),
         telemetry: CompileTelemetry {
             passes: observer.records,
             formation,
         },
     })
+}
+
+fn assert_same_code(train: &Program, target: &Program) {
+    assert_eq!(
+        train.instr_count(),
+        target.instr_count(),
+        "train and target must be the same code (only data may differ)"
+    );
+}
+
+fn optimized(program: &Program, config: &CompileConfig) -> Program {
+    let mut out = program.clone();
+    ccr_opt::optimize(&mut out, config.opt);
+    out
 }
 
 /// Runs the annotated training build against a conflict-free buffer
@@ -154,19 +215,18 @@ fn trial_hit_ratios(
     config: &CompileConfig,
 ) -> Result<Vec<f64>, EmuError> {
     use ccr_profile::{ExecEvent, TraceSink};
-    use std::collections::HashMap;
 
     let mut trial = train_opt.clone();
     let infos = ccr_regions::transform::annotate(&mut trial, specs.to_vec());
 
-    #[derive(Default)]
+    /// (hits, misses) per region, indexed by region id.
     struct HitCounter {
-        counts: HashMap<ccr_ir::RegionId, (u64, u64)>,
+        counts: Vec<(u64, u64)>,
     }
     impl TraceSink for HitCounter {
         fn on_exec(&mut self, e: &ExecEvent<'_>) {
             if let Some(r) = e.reuse {
-                let slot = self.counts.entry(r.region).or_default();
+                let slot = &mut self.counts[r.region.index()];
                 if r.hit {
                     slot.0 += 1;
                 } else {
@@ -186,12 +246,14 @@ fn trial_hit_ratios(
         replacement: ccr_sim::Replacement::Lru,
         nonuniform: None,
     });
-    let mut counter = HitCounter::default();
+    let mut counter = HitCounter {
+        counts: vec![(0, 0); trial.region_count()],
+    };
     Emulator::with_config(&trial, config.emu).run(&mut buffer, &mut counter)?;
     Ok(infos
         .iter()
         .map(|info| {
-            let (h, m) = counter.counts.get(&info.id).copied().unwrap_or((0, 0));
+            let (h, m) = counter.counts[info.id.index()];
             if h + m == 0 {
                 0.0
             } else {

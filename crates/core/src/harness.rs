@@ -458,14 +458,18 @@ impl Harness {
     }
 
     /// Records the compile-cache hit/miss counters (cumulative for the
-    /// run) and emits a `compile_cache` event.
-    pub fn compile_cache(&self, hits: u64, misses: u64) {
+    /// run) and emits a `compile_cache` event. `profile` is the
+    /// (hits, misses) pair of the cache's profile stage: the misses
+    /// count the value-profiling runs the compiles actually made.
+    pub fn compile_cache(&self, hits: u64, misses: u64, profile: (u64, u64)) {
         let Some(shared) = &self.shared else { return };
         shared.cache_hits.store(hits, Ordering::Relaxed);
         shared.cache_misses.store(misses, Ordering::Relaxed);
         let mut w = shared.line_begin("compile_cache");
         w.key("hits").u64_val(hits);
         w.key("misses").u64_val(misses);
+        w.key("profile_hits").u64_val(profile.0);
+        w.key("profile_misses").u64_val(profile.1);
         shared.emit_line(w);
     }
 
@@ -612,7 +616,7 @@ mod tests {
         h.task_finish("sim", "sim:ccr:x", 12, Some(1000));
         h.snapshot("save", "x", 5000, "/tmp/x.snap.jsonl");
         h.fingerprint("x", 3, 200_000, "00c0ffee00c0ffee");
-        h.compile_cache(1, 2);
+        h.compile_cache(1, 2, (0, 1));
         h.request_start(1, "submit", "fig4");
         h.request_finish(1, "done", 40, 7);
         h.result_cache(3, 4, 0);
@@ -659,7 +663,7 @@ mod tests {
         h.task_finish("sim", "sim:ccr:bitcount:abc", 7, Some(12345));
         h.snapshot("save", "bitcount", 64_000, "runs/bitcount.snap.jsonl");
         h.fingerprint("bitcount", 2, 130_000, "0123456789abcdef");
-        h.compile_cache(5, 2);
+        h.compile_cache(5, 2, (6, 1));
         h.request_start(1, "submit", "fig4");
         h.request_finish(1, "done", 11, 7);
         h.result_cache(3, 4, 1);

@@ -25,7 +25,10 @@ pub mod measure;
 pub mod report;
 pub mod runreport;
 
-pub use compile::{compile_ccr, CompileConfig, CompileTelemetry, CompiledWorkload};
+pub use compile::{
+    compile_ccr, compile_from_profile, profile_training, CompileConfig, CompileTelemetry,
+    CompiledWorkload,
+};
 pub use harness::{Harness, HarnessOptions, HarnessSummary, ProgressMode, HARNESS_SCHEMA_VERSION};
 pub use jobs::{
     parallel_map, parallel_map_observed, resolve_jobs, PoolObserver, PoolStats, TaskStats,

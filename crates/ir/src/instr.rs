@@ -478,6 +478,15 @@ impl Instr {
         }
     }
 
+    /// Calls `f` on each destination register, in [`Instr::dsts`]
+    /// order, without allocating.
+    pub fn for_each_dst(&self, f: impl FnMut(Reg)) {
+        match &self.op {
+            Op::Call { rets, .. } => rets.iter().copied().for_each(f),
+            _ => self.dst().into_iter().for_each(f),
+        }
+    }
+
     /// Source operands read by this instruction.
     pub fn src_operands(&self) -> Vec<Operand> {
         match &self.op {
@@ -489,6 +498,28 @@ impl Instr {
             Op::Call { args, .. } => args.clone(),
             Op::Ret { values } => values.clone(),
             Op::Jump { .. } | Op::Reuse { .. } | Op::Invalidate { .. } | Op::Nop => vec![],
+        }
+    }
+
+    /// Calls `f` on each source operand, in [`Instr::src_operands`]
+    /// order, without allocating.
+    pub fn for_each_src_operand(&self, mut f: impl FnMut(Operand)) {
+        match &self.op {
+            Op::Binary { lhs, rhs, .. }
+            | Op::Cmp { lhs, rhs, .. }
+            | Op::Branch { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Op::Unary { src, .. } => f(*src),
+            Op::Load { addr, .. } => f(*addr),
+            Op::Store { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
+            Op::Call { args, .. } => args.iter().copied().for_each(f),
+            Op::Ret { values } => values.iter().copied().for_each(f),
+            Op::Jump { .. } | Op::Reuse { .. } | Op::Invalidate { .. } | Op::Nop => {}
         }
     }
 
@@ -667,6 +698,41 @@ mod tests {
         assert_eq!(i.dsts(), vec![Reg(2), Reg(3)]);
         assert_eq!(i.src_regs(), vec![Reg(1)]);
         assert_eq!(i.class(), OpClass::Branch);
+    }
+
+    #[test]
+    fn visitors_match_the_collecting_accessors() {
+        let (a, b) = (Operand::Reg(Reg(1)), Operand::Imm(7));
+        let ops = [
+            Op::Binary {
+                kind: BinKind::Sub,
+                dst: Reg(2),
+                lhs: a,
+                rhs: b,
+            },
+            Op::Store {
+                object: MemObjectId(0),
+                addr: b,
+                offset: 0,
+                value: a,
+            },
+            Op::Call {
+                callee: FuncId(0),
+                args: vec![b, a, a],
+                rets: vec![Reg(3), Reg(4)],
+            },
+            Op::Ret { values: vec![a] },
+            Op::Jump { target: BlockId(1) },
+        ];
+        for op in ops {
+            let i = instr(op);
+            let mut srcs = Vec::new();
+            i.for_each_src_operand(|o| srcs.push(o));
+            assert_eq!(srcs, i.src_operands());
+            let mut dsts = Vec::new();
+            i.for_each_dst(|d| dsts.push(d));
+            assert_eq!(dsts, i.dsts());
+        }
     }
 
     #[test]

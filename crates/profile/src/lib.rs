@@ -33,7 +33,7 @@ pub use emulator::{
 };
 pub use potential::{PotentialConfig, PotentialStudy, ReusePotential};
 pub use rps::{
-    hash_values, CyclicProfile, InstrProfile, LoopKey, MemProfile, ReuseProfile, ValueProfiler,
-    CYCLIC_HISTORY, RECENT_WINDOW, TOP_K,
+    candidate_loops, hash_values, CyclicProfile, InstrProfile, LoopKey, LoopMeta, MemProfile,
+    ReuseProfile, ValueProfiler, CYCLIC_HISTORY, RECENT_WINDOW, TOP_K,
 };
 pub use trace::{ExecEvent, MemAccess, MultiSink, NullSink, ReuseOutcome, TraceSink};

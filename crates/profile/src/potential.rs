@@ -31,7 +31,7 @@ use std::collections::{HashMap, VecDeque};
 
 use ccr_ir::{BlockId, FuncId, MemObjectId, Operand, Program, Reg, Value};
 
-use crate::rps::{hash_values, LoopKey, LoopMeta, ValueProfiler};
+use crate::rps::{candidate_loops, hash_values, LoopKey, LoopMeta};
 use crate::trace::{ExecEvent, TraceSink};
 
 /// Limit-study parameters.
@@ -220,12 +220,9 @@ impl PotentialStudy {
 
     /// Creates a study with explicit parameters.
     pub fn with_config(program: &Program, config: PotentialConfig) -> PotentialStudy {
-        // Reuse the profiler's loop discovery, then discard it.
-        let profiler = ValueProfiler::for_program(program);
-        let loops = profiler.loop_metas();
         PotentialStudy {
             config,
-            loops: loops
+            loops: candidate_loops(program)
                 .into_iter()
                 .filter(|m| !m.impure)
                 .map(|m| (m.key, m))

@@ -19,10 +19,18 @@
 //!   fraction of invocations with more than one iteration, and the
 //!   fraction whose live-in value vector (with unchanged loop memory)
 //!   matches one of the eight most recent recorded invocations.
+//!
+//! The profiler runs on every dynamic instruction, so its state is
+//! dense: per-instruction tables indexed by [`InstrId::index`], one
+//! store-version array per memory object, a per-function table of loop
+//! headers, a bitset per loop body and the active invocations indexed
+//! by call depth. [`ValueProfiler::finish`] compacts the result into a
+//! [`ReuseProfile`] that keeps only what region formation reads.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
-use ccr_analysis::{CallGraph, LoopForest, SideEffects};
+use ccr_analysis::LoopForest;
 use ccr_ir::{BlockId, FuncId, InstrId, MemObjectId, Op, Operand, Program, Reg, Value};
 
 use crate::trace::{ExecEvent, TraceSink};
@@ -63,8 +71,44 @@ const MAX_TRACKED_VECTORS: usize = 64;
 /// Cap on distinct locations tracked per load.
 const MAX_TRACKED_LOCATIONS: usize = 4096;
 
+/// Every candidate loop of `program`: its *innermost* natural loops,
+/// in (function, header) order.
+pub fn candidate_loops(program: &Program) -> Vec<LoopMeta> {
+    let mut metas = Vec::new();
+    for func in program.functions() {
+        let forest = LoopForest::compute(func);
+        let mut inner: Vec<_> = forest.inner_loops().collect();
+        inner.sort_by_key(|lp| lp.header);
+        for lp in inner {
+            let mut loaded = BTreeSet::new();
+            let mut impure = false;
+            for &b in &lp.body {
+                for instr in &func.block(b).instrs {
+                    match &instr.op {
+                        Op::Load { object, .. } => {
+                            loaded.insert(*object);
+                        }
+                        Op::Store { .. } | Op::Call { .. } => impure = true,
+                        _ => {}
+                    }
+                }
+            }
+            metas.push(LoopMeta {
+                key: LoopKey {
+                    func: func.id(),
+                    header: lp.header,
+                },
+                body: lp.body.clone(),
+                loaded_objects: loaded.into_iter().collect(),
+                impure,
+            });
+        }
+    }
+    metas
+}
+
 /// Per-instruction value-locality counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct InstrProfile {
     /// Total executions.
     pub exec: u64,
@@ -72,17 +116,15 @@ pub struct InstrProfile {
     pub recent_hits: u64,
     /// For branches: executions on which the branch was taken.
     pub taken: u64,
-    vector_counts: HashMap<u64, u64>,
-    overflow: u64,
-    recent: VecDeque<u64>,
+    /// Execution count of each tracked distinct input vector, largest
+    /// first.
+    vector_counts: Vec<u64>,
 }
 
 impl InstrProfile {
     /// Sum of the top-`k` distinct input-vector counts.
     pub fn invariance_top(&self, k: usize) -> u64 {
-        let mut counts: Vec<u64> = self.vector_counts.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        counts.into_iter().take(k).sum()
+        self.vector_counts.iter().take(k).sum()
     }
 
     /// The paper's `Invariance_R[k](i) / Exec(i)` ratio in `[0, 1]`.
@@ -109,33 +151,16 @@ impl InstrProfile {
     pub fn distinct_vectors(&self) -> usize {
         self.vector_counts.len()
     }
-
-    fn observe(&mut self, sig: u64) {
-        self.exec += 1;
-        if self.recent.iter().any(|&s| s == sig) {
-            self.recent_hits += 1;
-        }
-        if self.recent.len() == RECENT_WINDOW {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(sig);
-        if self.vector_counts.len() < MAX_TRACKED_VECTORS || self.vector_counts.contains_key(&sig) {
-            *self.vector_counts.entry(sig).or_insert(0) += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
 }
 
 /// Per-load memory-reuse counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct MemProfile {
     /// Total executions of the load.
     pub exec: u64,
     /// Executions finding the location unchanged since this load last
     /// touched it.
     pub unchanged: u64,
-    last_seen_version: HashMap<(MemObjectId, u64), u64>,
 }
 
 impl MemProfile {
@@ -151,7 +176,7 @@ impl MemProfile {
 }
 
 /// Per-loop cyclic recurrence counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct CyclicProfile {
     /// Loop invocations observed.
     pub invocations: u64,
@@ -161,7 +186,6 @@ pub struct CyclicProfile {
     pub reuse_opportunities: u64,
     /// Total iterations across all invocations.
     pub total_iterations: u64,
-    history: VecDeque<(u64, Vec<u64>)>,
 }
 
 impl CyclicProfile {
@@ -194,227 +218,388 @@ impl CyclicProfile {
 }
 
 /// The finished profile, as consumed by region formation.
-#[derive(Clone, Debug, Default)]
+///
+/// Instruction and load profiles are indexed by [`InstrId::index`];
+/// an entry with `exec == 0` stands for an instruction that never
+/// ran. Cyclic profiles are kept for the loops that were invoked, in
+/// [`LoopKey`] order.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct ReuseProfile {
-    instr: HashMap<InstrId, InstrProfile>,
-    mem: HashMap<InstrId, MemProfile>,
-    cyclic: HashMap<LoopKey, CyclicProfile>,
+    instr: Vec<InstrProfile>,
+    mem: Vec<MemProfile>,
+    cyclic: Vec<(LoopKey, CyclicProfile)>,
     /// Total dynamic instructions profiled.
     pub total_dyn_instrs: u64,
 }
 
 impl ReuseProfile {
+    fn instr(&self, id: InstrId) -> Option<&InstrProfile> {
+        self.instr.get(id.index()).filter(|p| p.exec > 0)
+    }
+
     /// Execution count of an instruction (0 if never executed).
     pub fn exec(&self, id: InstrId) -> u64 {
-        self.instr.get(&id).map_or(0, |p| p.exec)
+        self.instr(id).map_or(0, |p| p.exec)
     }
 
     /// The `Invariance_R[k]/Exec` ratio of an instruction.
     pub fn invariance_ratio(&self, id: InstrId, k: usize) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| p.invariance_ratio(k))
+        self.instr(id).map_or(0.0, |p| p.invariance_ratio(k))
     }
 
     /// Recent-window recurrence ratio of an instruction.
     pub fn recent_ratio(&self, id: InstrId) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| p.recent_ratio())
+        self.instr(id).map_or(0.0, |p| p.recent_ratio())
     }
 
     /// Memory-unchanged ratio of a load (0 for non-loads).
     pub fn mem_unchanged_ratio(&self, id: InstrId) -> f64 {
-        self.mem.get(&id).map_or(0.0, |p| p.unchanged_ratio())
+        self.mem
+            .get(id.index())
+            .map_or(0.0, |p| p.unchanged_ratio())
     }
 
     /// For branches: fraction of executions on which the branch was
     /// taken (0 if never executed).
     pub fn taken_ratio(&self, id: InstrId) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| {
-            if p.exec == 0 {
-                0.0
-            } else {
-                p.taken as f64 / p.exec as f64
-            }
-        })
+        self.instr(id)
+            .map_or(0.0, |p| p.taken as f64 / p.exec as f64)
     }
 
     /// Full per-instruction profile, if the instruction executed.
     pub fn instr_profile(&self, id: InstrId) -> Option<&InstrProfile> {
-        self.instr.get(&id)
+        self.instr(id)
     }
 
     /// Cyclic profile of a loop, if it was a candidate and ran.
     pub fn cyclic_profile(&self, key: LoopKey) -> Option<&CyclicProfile> {
-        self.cyclic.get(&key)
+        self.cyclic
+            .binary_search_by_key(&key, |(k, _)| *k)
+            .ok()
+            .map(|i| &self.cyclic[i].1)
     }
 
-    /// Iterates over all profiled loops.
+    /// Iterates over all profiled loops, in [`LoopKey`] order.
     pub fn iter_cyclic(&self) -> impl Iterator<Item = (&LoopKey, &CyclicProfile)> {
-        self.cyclic.iter()
+        self.cyclic.iter().map(|(k, c)| (k, c))
+    }
+}
+
+/// Multiplicative hasher for the profiler's `u64`-keyed maps. Keys are
+/// value signatures and memory locations, already well mixed; the
+/// hasher is deterministic and only decides bucket placement, never a
+/// profile count. Both maps are capped ([`MAX_TRACKED_VECTORS`],
+/// [`MAX_TRACKED_LOCATIONS`]), so even a program whose keys collide
+/// costs at most a scan of a capped table per lookup.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+}
+
+type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
+/// An instruction's counters while the run is in progress.
+#[derive(Default)]
+struct LiveInstr {
+    exec: u64,
+    recent_hits: u64,
+    taken: u64,
+    vector_counts: MixMap<u64, u64>,
+    /// Ring buffer of the last [`RECENT_WINDOW`] input signatures.
+    recent: [u64; RECENT_WINDOW],
+    recent_len: usize,
+    recent_next: usize,
+}
+
+impl LiveInstr {
+    fn observe(&mut self, sig: u64) {
+        self.exec += 1;
+        if self.recent[..self.recent_len].contains(&sig) {
+            self.recent_hits += 1;
+        }
+        self.recent[self.recent_next] = sig;
+        self.recent_next = (self.recent_next + 1) % RECENT_WINDOW;
+        self.recent_len = (self.recent_len + 1).min(RECENT_WINDOW);
+        if self.vector_counts.len() < MAX_TRACKED_VECTORS {
+            *self.vector_counts.entry(sig).or_insert(0) += 1;
+        } else if let Some(n) = self.vector_counts.get_mut(&sig) {
+            *n += 1;
+        }
+    }
+
+    fn finish(self) -> InstrProfile {
+        let mut vector_counts: Vec<u64> = self.vector_counts.into_values().collect();
+        vector_counts.sort_unstable_by(|a, b| b.cmp(a));
+        InstrProfile {
+            exec: self.exec,
+            recent_hits: self.recent_hits,
+            taken: self.taken,
+            vector_counts,
+        }
+    }
+}
+
+/// A load's counters while the run is in progress.
+#[derive(Default)]
+struct LiveMem {
+    exec: u64,
+    unchanged: u64,
+    /// Store version of each tracked location when this load last
+    /// read it.
+    last_seen_version: MixMap<(MemObjectId, u64), u64>,
+}
+
+/// A candidate loop's static tables and its counters while the run is
+/// in progress.
+struct LiveLoop {
+    meta: LoopMeta,
+    /// Body blocks as a bitset over block indices.
+    body: Vec<u64>,
+    profile: CyclicProfile,
+    /// Signatures and loop-memory versions of the most recent
+    /// invocations.
+    history: VecDeque<(u64, Vec<u64>)>,
+}
+
+impl LiveLoop {
+    fn new(meta: LoopMeta) -> LiveLoop {
+        let words = meta.body.last().map_or(0, |b| b.index() / 64 + 1);
+        let mut body = vec![0u64; words];
+        for b in &meta.body {
+            body[b.index() / 64] |= 1 << (b.index() % 64);
+        }
+        LiveLoop {
+            meta,
+            body,
+            profile: CyclicProfile::default(),
+            history: VecDeque::with_capacity(CYCLIC_HISTORY),
+        }
+    }
+
+    fn contains(&self, block: BlockId) -> bool {
+        self.body
+            .get(block.index() / 64)
+            .is_some_and(|w| w >> (block.index() % 64) & 1 == 1)
     }
 }
 
 struct ActiveInvocation {
-    key: LoopKey,
+    /// Index into [`ValueProfiler::loops`].
+    lp: usize,
+    /// Live-in registers with their values, in first-read order.
     inputs: Vec<(Reg, Value)>,
-    written: Vec<Reg>,
+    /// Per register of the loop's function: already read or written
+    /// in this invocation.
+    seen: Vec<bool>,
     iterations: u64,
     start_versions: Vec<u64>,
 }
 
+/// Marks a block that heads no candidate loop in
+/// [`ValueProfiler::headers`].
+const NO_LOOP: u32 = u32::MAX;
+
 /// Online profiler; attach to an [`crate::Emulator`] run as a
 /// [`TraceSink`], then call [`ValueProfiler::finish`].
 pub struct ValueProfiler {
-    profile: ReuseProfile,
-    loops: HashMap<LoopKey, LoopMeta>,
+    /// Per-instruction counters, indexed by [`InstrId::index`].
+    instr: Vec<LiveInstr>,
+    /// Per-load counters, indexed by [`InstrId::index`].
+    mem: Vec<LiveMem>,
+    total_dyn_instrs: u64,
+    /// Candidate loops, in [`LoopKey`] order.
+    loops: Vec<LiveLoop>,
+    /// `headers[func][block]`: index of the loop the block heads, or
+    /// [`NO_LOOP`].
+    headers: Vec<Vec<u32>>,
     /// Per-object global store version.
     obj_version: Vec<u64>,
-    /// Per-location store version (object, index) -> version.
-    loc_version: HashMap<(MemObjectId, u64), u64>,
+    /// Per-location store version, one array per object.
+    loc_version: Vec<Vec<u64>>,
     /// Active loop invocation per call depth.
-    active: HashMap<usize, ActiveInvocation>,
+    active: Vec<Option<ActiveInvocation>>,
+    /// Register count of each function.
+    reg_limits: Vec<usize>,
     depth: usize,
-    current_block: Option<(FuncId, BlockId)>,
 }
 
 impl ValueProfiler {
-    /// Creates a profiler with explicit loop metadata.
+    /// Creates a profiler with explicit loop metadata (one loop per
+    /// key; a later duplicate replaces an earlier one).
     pub fn new(program: &Program, loops: Vec<LoopMeta>) -> ValueProfiler {
-        ValueProfiler {
-            profile: ReuseProfile::default(),
-            loops: loops.into_iter().map(|m| (m.key, m)).collect(),
-            obj_version: vec![0; program.objects().len()],
-            loc_version: HashMap::new(),
-            active: HashMap::new(),
-            depth: 0,
-            current_block: None,
-        }
-    }
-
-    /// Creates a profiler, deriving candidate-loop metadata from the
-    /// program: every *innermost* natural loop is a candidate.
-    pub fn for_program(program: &Program) -> ValueProfiler {
-        let cg = CallGraph::compute(program);
-        let se = SideEffects::compute(program, &cg);
-        let mut metas = Vec::new();
-        for func in program.functions() {
-            let forest = LoopForest::compute(func);
-            for lp in forest.inner_loops() {
-                let mut loaded = BTreeSet::new();
-                let mut impure = false;
-                for &b in &lp.body {
-                    for instr in &func.block(b).instrs {
-                        match &instr.op {
-                            Op::Load { object, .. } => {
-                                loaded.insert(*object);
-                            }
-                            Op::Store { .. } => impure = true,
-                            Op::Call { callee, .. } => {
-                                impure = true;
-                                let _ = se.may_store(*callee);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                metas.push(LoopMeta {
-                    key: LoopKey {
-                        func: func.id(),
-                        header: lp.header,
-                    },
-                    body: lp.body.clone(),
-                    loaded_objects: loaded.into_iter().collect(),
-                    impure,
-                });
+        let by_key: BTreeMap<LoopKey, LoopMeta> = loops.into_iter().map(|m| (m.key, m)).collect();
+        let loops: Vec<LiveLoop> = by_key.into_values().map(LiveLoop::new).collect();
+        let mut headers: Vec<Vec<u32>> = program
+            .functions()
+            .iter()
+            .map(|f| vec![NO_LOOP; f.iter_blocks().count()])
+            .collect();
+        for (i, lp) in loops.iter().enumerate() {
+            let LoopKey { func, header } = lp.meta.key;
+            if headers.len() <= func.index() {
+                headers.resize(func.index() + 1, Vec::new());
             }
+            let table = &mut headers[func.index()];
+            if table.len() <= header.index() {
+                table.resize(header.index() + 1, NO_LOOP);
+            }
+            table[header.index()] = i as u32;
         }
-        ValueProfiler::new(program, metas)
+        let instr_limit = program.instr_id_limit() as usize;
+        ValueProfiler {
+            instr: std::iter::repeat_with(LiveInstr::default)
+                .take(instr_limit)
+                .collect(),
+            mem: std::iter::repeat_with(LiveMem::default)
+                .take(instr_limit)
+                .collect(),
+            total_dyn_instrs: 0,
+            loops,
+            headers,
+            obj_version: vec![0; program.objects().len()],
+            loc_version: program
+                .objects()
+                .iter()
+                .map(|o| vec![0; o.size()])
+                .collect(),
+            active: Vec::new(),
+            reg_limits: program
+                .functions()
+                .iter()
+                .map(|f| f.reg_limit() as usize)
+                .collect(),
+            depth: 0,
+        }
     }
 
-    /// The candidate-loop metadata the profiler was built with (used
-    /// by the limit study and by region formation).
+    /// Creates a profiler whose candidates are the program's
+    /// [`candidate_loops`].
+    pub fn for_program(program: &Program) -> ValueProfiler {
+        ValueProfiler::new(program, candidate_loops(program))
+    }
+
+    /// The candidate-loop metadata the profiler was built with, in
+    /// [`LoopKey`] order.
     pub fn loop_metas(&self) -> Vec<LoopMeta> {
-        self.loops.values().cloned().collect()
+        self.loops.iter().map(|l| l.meta.clone()).collect()
     }
 
-    /// Consumes the profiler, finalizing any open invocation records.
+    /// Consumes the profiler, finalizing any open invocation records
+    /// (deepest first) and compacting the counters into a
+    /// [`ReuseProfile`].
     pub fn finish(mut self) -> ReuseProfile {
-        let depths: Vec<usize> = self.active.keys().copied().collect();
-        for d in depths {
+        for d in (0..self.active.len()).rev() {
             self.finalize_invocation(d);
         }
-        self.profile
+        ReuseProfile {
+            instr: self.instr.into_iter().map(LiveInstr::finish).collect(),
+            mem: self
+                .mem
+                .into_iter()
+                .map(|m| MemProfile {
+                    exec: m.exec,
+                    unchanged: m.unchanged,
+                })
+                .collect(),
+            cyclic: self
+                .loops
+                .into_iter()
+                .filter(|l| l.profile.invocations > 0)
+                .map(|l| (l.meta.key, l.profile))
+                .collect(),
+            total_dyn_instrs: self.total_dyn_instrs,
+        }
     }
 
-    fn loop_versions(&self, meta: &LoopMeta) -> Vec<u64> {
-        meta.loaded_objects
+    fn header_loop(&self, func: FuncId, block: BlockId) -> Option<usize> {
+        let lp = *self.headers.get(func.index())?.get(block.index())?;
+        (lp != NO_LOOP).then_some(lp as usize)
+    }
+
+    fn loop_versions(&self, lp: usize) -> Vec<u64> {
+        self.loops[lp]
+            .meta
+            .loaded_objects
             .iter()
             .map(|o| self.obj_version[o.index()])
             .collect()
     }
 
     fn finalize_invocation(&mut self, depth: usize) {
-        let Some(inv) = self.active.remove(&depth) else {
+        let Some(inv) = self.active.get_mut(depth).and_then(Option::take) else {
             return;
         };
-        let meta = &self.loops[&inv.key];
-        let versions = self.loop_versions(meta);
+        let versions = self.loop_versions(inv.lp);
         let sig = hash_reg_values(&inv.inputs);
-        let prof = self.profile.cyclic.entry(inv.key).or_default();
+        let lp = &mut self.loops[inv.lp];
+        let prof = &mut lp.profile;
         prof.invocations += 1;
         prof.total_iterations += inv.iterations;
         if inv.iterations > 1 {
             prof.multi_iteration += 1;
         }
-        let reusable = !meta.impure
-            && prof
+        let reusable = !lp.meta.impure
+            && lp
                 .history
                 .iter()
                 .any(|(s, v)| *s == sig && *v == inv.start_versions && *v == versions);
         if reusable {
             prof.reuse_opportunities += 1;
         }
-        if prof.history.len() == CYCLIC_HISTORY {
-            prof.history.pop_front();
+        if lp.history.len() == CYCLIC_HISTORY {
+            lp.history.pop_front();
         }
-        prof.history.push_back((sig, versions));
+        lp.history.push_back((sig, versions));
     }
 }
 
 impl TraceSink for ValueProfiler {
     fn on_block_enter(&mut self, func: FuncId, block: BlockId) {
-        let key = LoopKey {
-            func,
-            header: block,
-        };
         let depth = self.depth;
+        if self.active.len() <= depth {
+            self.active.resize_with(depth + 1, || None);
+        }
         // Entering a tracked header: new invocation or next iteration.
-        if self.loops.contains_key(&key) {
-            match self.active.get_mut(&depth) {
-                Some(inv) if inv.key == key => {
-                    inv.iterations += 1;
-                }
+        if let Some(lp) = self.header_loop(func, block) {
+            match &mut self.active[depth] {
+                Some(inv) if inv.lp == lp => inv.iterations += 1,
                 _ => {
                     self.finalize_invocation(depth);
-                    let versions = self.loop_versions(&self.loops[&key].clone());
-                    self.active.insert(
-                        depth,
-                        ActiveInvocation {
-                            key,
-                            inputs: Vec::new(),
-                            written: Vec::new(),
-                            iterations: 1,
-                            start_versions: versions,
-                        },
-                    );
+                    let start_versions = self.loop_versions(lp);
+                    let regs = self.reg_limits.get(func.index()).copied().unwrap_or(0);
+                    self.active[depth] = Some(ActiveInvocation {
+                        lp,
+                        inputs: Vec::new(),
+                        seen: vec![false; regs],
+                        iterations: 1,
+                        start_versions,
+                    });
                 }
             }
-        } else if let Some(inv) = self.active.get(&depth) {
+        } else if let Some(inv) = &self.active[depth] {
             // Leaving the active loop's body ends the invocation.
-            let meta = &self.loops[&inv.key];
-            if !meta.body.contains(&block) {
+            if !self.loops[inv.lp].contains(block) {
                 self.finalize_invocation(depth);
             }
         }
-        self.current_block = Some((func, block));
     }
 
     fn on_call(&mut self, _caller: FuncId, _callee: FuncId) {
@@ -427,57 +612,78 @@ impl TraceSink for ValueProfiler {
     }
 
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
-        self.profile.total_dyn_instrs += 1;
+        self.total_dyn_instrs += 1;
         let instr = event.instr;
-        let sig = hash_values(event.inputs);
-        let ip = self.profile.instr.entry(instr.id).or_default();
-        ip.observe(sig);
+        let idx = instr.id.index();
+        if self.instr.len() <= idx {
+            self.instr.resize_with(idx + 1, LiveInstr::default);
+            self.mem.resize_with(idx + 1, LiveMem::default);
+        }
+        let ip = &mut self.instr[idx];
+        ip.observe(hash_values(event.inputs));
         if event.taken == Some(true) {
             ip.taken += 1;
         }
 
         // Memory bookkeeping.
         if let Some(mem) = event.mem {
-            let loc = (mem.object, mem.index);
+            let obj = mem.object.index();
+            let slot = mem.index as usize;
+            if self.loc_version.len() <= obj {
+                self.loc_version.resize(obj + 1, Vec::new());
+                self.obj_version.resize(obj + 1, 0);
+            }
+            let versions = &mut self.loc_version[obj];
+            if versions.len() <= slot {
+                versions.resize(slot + 1, 0);
+            }
             if mem.is_store {
-                self.obj_version[mem.object.index()] += 1;
-                *self.loc_version.entry(loc).or_insert(0) += 1;
+                self.obj_version[obj] += 1;
+                versions[slot] += 1;
             } else {
-                let version = self.loc_version.get(&loc).copied().unwrap_or(0);
-                let prof = self.profile.mem.entry(instr.id).or_default();
+                let version = versions[slot];
+                let loc = (mem.object, mem.index);
+                let prof = &mut self.mem[idx];
                 prof.exec += 1;
-                match prof.last_seen_version.get(&loc) {
-                    Some(&seen) if seen == version => prof.unchanged += 1,
-                    _ => {}
-                }
-                if prof.last_seen_version.len() < MAX_TRACKED_LOCATIONS
-                    || prof.last_seen_version.contains_key(&loc)
-                {
-                    prof.last_seen_version.insert(loc, version);
+                let tracked = prof.last_seen_version.len();
+                match prof.last_seen_version.get_mut(&loc) {
+                    Some(seen) => {
+                        if *seen == version {
+                            prof.unchanged += 1;
+                        }
+                        *seen = version;
+                    }
+                    None if tracked < MAX_TRACKED_LOCATIONS => {
+                        prof.last_seen_version.insert(loc, version);
+                    }
+                    None => {}
                 }
             }
         }
 
         // Cyclic live-in capture: registers read before written while
         // the invocation is active and the instruction is in the body.
-        if let Some(inv) = self.active.get_mut(&self.depth) {
-            let in_body = self
-                .loops
-                .get(&inv.key)
-                .is_some_and(|m| m.body.contains(&event.block));
-            if in_body && event.func == inv.key.func {
-                for (op, val) in instr.src_operands().iter().zip(event.inputs) {
-                    if let Operand::Reg(r) = op {
-                        if !inv.written.contains(r) && !inv.inputs.iter().any(|(x, _)| x == r) {
-                            inv.inputs.push((*r, *val));
+        if let Some(Some(inv)) = self.active.get_mut(self.depth) {
+            let lp = &self.loops[inv.lp];
+            if event.func == lp.meta.key.func && lp.contains(event.block) {
+                let ActiveInvocation { inputs, seen, .. } = inv;
+                let mut mark = |r: Reg| {
+                    if seen.len() <= r.index() {
+                        seen.resize(r.index() + 1, false);
+                    }
+                    !std::mem::replace(&mut seen[r.index()], true)
+                };
+                let mut vals = event.inputs.iter();
+                instr.for_each_src_operand(|op| {
+                    if let (Operand::Reg(r), Some(&val)) = (op, vals.next()) {
+                        if mark(r) {
+                            inputs.push((r, val));
                         }
                     }
-                }
-                for d in instr.dsts() {
-                    if !inv.written.contains(&d) {
-                        inv.written.push(d);
-                    }
-                }
+                });
+                instr.for_each_dst(|d| {
+                    mark(d);
+                });
             }
         }
     }
@@ -729,6 +935,68 @@ mod tests {
         let ip = prof.instr_profile(shl_id).unwrap();
         assert!(ip.recent_ratio() > 0.9, "ratio {}", ip.recent_ratio());
         assert_eq!(ip.distinct_vectors(), 2);
+    }
+
+    #[test]
+    fn candidate_loops_come_in_key_order() {
+        let p = two_sibling_loops();
+        let loops = candidate_loops(&p);
+        let keys: Vec<LoopKey> = loops.iter().map(|m| m.key).collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 2, "both innermost loops are candidates");
+        assert_eq!(ValueProfiler::for_program(&p).loop_metas().len(), 2);
+    }
+
+    #[test]
+    fn finished_profile_keeps_only_invoked_loops_in_key_order() {
+        let p = two_sibling_loops();
+        let prof = profile(&p);
+        let keys: Vec<LoopKey> = prof.iter_cyclic().map(|(k, _)| *k).collect();
+        // The second loop never runs (its guard is false), so only the
+        // first is reported.
+        assert_eq!(keys.len(), 1);
+        assert!(prof.cyclic_profile(keys[0]).is_some());
+        let absent = candidate_loops(&p)[1].key;
+        assert!(prof.cyclic_profile(absent).is_none());
+        // Instructions that never ran read as absent.
+        let never = p
+            .iter_instrs()
+            .map(|(_, i)| i.id)
+            .find(|&id| prof.exec(id) == 0)
+            .expect("the guarded loop's body never runs");
+        assert!(prof.instr_profile(never).is_none());
+        assert_eq!(prof.taken_ratio(never), 0.0);
+    }
+
+    /// Two sibling innermost loops in `main`; the second is guarded by
+    /// a branch that is never taken.
+    fn two_sibling_loops() -> ccr_ir::Program {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0, 1);
+        let i = f.movi(0);
+        let acc = f.movi(0);
+        let first = f.block();
+        let between = f.block();
+        let second = f.block();
+        let done = f.block();
+        f.jump(first);
+        f.switch_to(first);
+        f.bin_into(BinKind::Add, acc, acc, i);
+        f.inc(i, 1);
+        f.br(CmpPred::Lt, i, 4, first, between);
+        f.switch_to(between);
+        f.br(CmpPred::Lt, i, 0, second, done);
+        f.switch_to(second);
+        f.bin_into(BinKind::Add, acc, acc, acc);
+        f.inc(i, 1);
+        f.br(CmpPred::Lt, i, 8, second, done);
+        f.switch_to(done);
+        f.ret(&[ccr_ir::Operand::Reg(acc)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        pb.finish()
     }
 
     #[test]

@@ -1284,9 +1284,11 @@ fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
         flags.fingerprint.then(|| fingerprint_window(flags)),
     )?;
     let (cache_hits, cache_misses) = executed.cache_stats();
+    let (profile_hits, profile_misses) = executed.profile_cache_stats();
     eprintln!(
         "compile cache: {cache_hits} hit(s), {cache_misses} miss(es) \
-         across {} compile unit(s)",
+         across {} compile unit(s); profile cache: {profile_hits} hit(s), \
+         {profile_misses} miss(es)",
         cache_hits + cache_misses
     );
     let harness_summary = finish_harness(&harness);
@@ -1396,11 +1398,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         summary.requests, summary.points, summary.points_per_sec
     );
     eprintln!(
-        "result cache: {} hit(s), {} miss(es); compile cache: {} hit(s), {} miss(es)",
+        "result cache: {} hit(s), {} miss(es); compile cache: {} hit(s), {} miss(es); \
+         profile cache: {} hit(s), {} miss(es)",
         summary.result_cache_hits,
         summary.result_cache_misses,
         summary.compile_cache_hits,
-        summary.compile_cache_misses
+        summary.compile_cache_misses,
+        summary.profile_cache_hits,
+        summary.profile_cache_misses
     );
     Ok(())
 }

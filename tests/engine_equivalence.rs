@@ -17,6 +17,11 @@
 //! 3. **Cache mechanics**: LRU eviction order, the capacity-0
 //!    degenerate case, error non-caching, and the eviction exemption
 //!    of reuse-potential entries.
+//! 4. **The profile stage**: the compile cache value-profiles each
+//!    training build once (13 profiles for the registry's 117
+//!    compiles, one under an eight-thread race), never caches a
+//!    profiling error, and a compile served through it equals a
+//!    direct `compile_ccr`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -306,4 +311,135 @@ fn potential_entries_are_exempt_from_eviction() {
         .get_or_run_potential("pot|w|train|1", || unreachable!("never evicted"))
         .unwrap();
     assert_eq!(cache.hits(), 1);
+}
+
+/// Every distinct compile configuration of the experiment registry,
+/// as `(target input, config)` pairs in first-encounter order.
+fn registry_compile_configs() -> Vec<(InputSet, CompileConfig)> {
+    let mut out: Vec<(InputSet, CompileConfig)> = Vec::new();
+    for spec in exp::specs::registry() {
+        for sc in &spec.scenarios {
+            let config = sc.compile_config();
+            let seen = out.iter().any(|(input, c)| {
+                *input == sc.input && c.region.fields() == config.region.fields()
+            });
+            if !seen {
+                out.push((sc.input, config));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn registry_plan_profiles_each_training_build_once() {
+    let specs = exp::specs::registry();
+    let selected: Vec<&exp::ExperimentSpec> = specs.iter().collect();
+    let plan = exp::plan(&selected);
+    let engine = Engine::new(2);
+    let executed = engine
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("the registry runs within limits");
+    // 117 compiles over 13 workloads: 9 compile keys per workload
+    // share one value profile.
+    assert_eq!(executed.cache_stats(), (0, 117));
+    assert_eq!(executed.profile_cache_stats(), (104, 13));
+    assert_eq!(engine.compile_cache().profile_misses(), 13);
+    assert_eq!(engine.compile_cache().profile_hits(), 104);
+}
+
+#[test]
+fn racing_compiles_of_one_workload_profile_it_once() {
+    // Eight threads compile the same workload under eight region
+    // configurations at once: eight compile keys, one profile key.
+    let cache = ccr_bench::CompileCache::new();
+    let barrier = std::sync::Barrier::new(8);
+    let compiled: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8u32)
+            .map(|i| {
+                let (cache, barrier) = (&cache, &barrier);
+                scope.spawn(move || {
+                    let config = CompileConfig {
+                        region: RegionConfig {
+                            trial_instances: 1 + i as usize,
+                            ..RegionConfig::paper()
+                        },
+                        emu: ccr_bench::emu_config(),
+                        ..CompileConfig::paper()
+                    };
+                    barrier.wait();
+                    cache
+                        .get_or_compile("bitcount", InputSet::Train, 1, &config)
+                        .expect("bitcount compiles")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("compile thread"))
+            .collect()
+    });
+    assert_eq!(cache.misses(), 8);
+    assert_eq!(cache.hits(), 0);
+    assert_eq!(cache.profile_misses(), 1);
+    assert_eq!(cache.profile_hits(), 7);
+    // Every compile holds the one cached profile allocation.
+    for cw in &compiled[1..] {
+        assert!(std::sync::Arc::ptr_eq(&cw.profile, &compiled[0].profile));
+    }
+}
+
+#[test]
+fn profile_stage_errors_are_never_cached() {
+    let cache = ccr_bench::CompileCache::new();
+    let starved = CompileConfig {
+        emu: ccr::profile::EmuConfig {
+            max_instrs: 1_000,
+            max_depth: 64,
+        },
+        ..CompileConfig::paper()
+    };
+    for attempt in 1..=2 {
+        let err = cache
+            .get_or_compile("bitcount", InputSet::Train, 1, &starved)
+            .expect_err("the profiling run exceeds the instruction limit");
+        assert!(err.starts_with("bitcount: "), "{err}");
+        // Each attempt profiles afresh: neither stage kept the error.
+        assert_eq!(cache.profile_misses(), attempt);
+        assert_eq!(cache.misses(), attempt);
+    }
+    assert_eq!(cache.profile_hits(), 0);
+    assert_eq!(cache.hits(), 0);
+}
+
+#[test]
+fn cache_served_compiles_equal_direct_compiles() {
+    let configs = registry_compile_configs();
+    assert_eq!(configs.len(), 9, "nine compile keys per workload");
+    let cache = ccr_bench::CompileCache::new();
+    for name in ["bitcount", "129.compress"] {
+        for (input, config) in &configs {
+            let cached = cache
+                .get_or_compile(name, *input, 1, config)
+                .expect("compiles");
+            let train = ccr::workloads::build(name, InputSet::Train, 1).unwrap();
+            let target = ccr::workloads::build(name, *input, 1).unwrap();
+            let direct = ccr::compile_ccr(&train, &target, config).expect("compiles");
+            assert_eq!(
+                cached.annotated.to_string(),
+                direct.annotated.to_string(),
+                "{name} annotated IR"
+            );
+            assert_eq!(cached.base.to_string(), direct.base.to_string());
+            assert_eq!(cached.regions, direct.regions, "{name} regions");
+            assert_eq!(
+                cached.telemetry.formation, direct.telemetry.formation,
+                "{name} formation stats"
+            );
+            assert_eq!(*cached.profile, *direct.profile, "{name} profile");
+        }
+    }
+    assert_eq!(cache.profile_misses(), 2);
+    assert_eq!(cache.profile_hits(), 16);
 }

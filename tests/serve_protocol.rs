@@ -112,6 +112,9 @@ fn submit_roundtrip_and_repeat_is_served_from_the_result_cache() {
     assert_eq!(summary.result_cache_misses, 2);
     assert_eq!(summary.compile_cache_hits, 1);
     assert_eq!(summary.compile_cache_misses, 1);
+    // The one compile value-profiled the training build once.
+    assert_eq!(summary.profile_cache_hits, 0);
+    assert_eq!(summary.profile_cache_misses, 1);
     assert_eq!(summary.stored_records, 2);
 
     // The store got both records, stamped with the session throughput.
