@@ -1,10 +1,11 @@
 //! Microbenchmarks for the simulator's hot paths — the code the
 //! host-performance work in DESIGN.md §9 targets: CRB instance
-//! scanning (fingerprint pre-filter on vs off), ghost scanning, and
-//! the pipeline's register ready-tracking.
+//! scanning (fingerprint pre-filter on vs off), ghost scanning, the
+//! pipeline's register ready-tracking, and the per-layer cost of one
+//! simulation (bare emulation vs emulation plus the timing pipeline).
 
 use ccr_ir::{Reg, RegionId, Value};
-use ccr_profile::{CrbModel, RecordedInstance};
+use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, RecordedInstance};
 use ccr_sim::{simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -182,5 +183,34 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_crb_lookup, bench_pipeline_ready_tracking);
+fn bench_sim_layers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_layers");
+    g.sample_size(10);
+    // One workload through two stacks: the interpreter alone (no CRB,
+    // no timing), then the same instruction stream driving the timing
+    // pipeline. The gap between the two is the pipeline's host cost.
+    let program = build("124.m88ksim", InputSet::Train, 1).unwrap();
+    g.bench_function("emulate_bare_m88ksim", |b| {
+        let emulator = Emulator::with_config(&program, ccr_bench::emu_config());
+        b.iter(|| {
+            let out = emulator.run(&mut NullCrb, &mut NullSink).unwrap();
+            black_box(out.dyn_instrs);
+        });
+    });
+    g.bench_function("simulate_baseline_m88ksim", |b| {
+        b.iter(|| {
+            let out = simulate_baseline(&program, &MachineConfig::paper(), ccr_bench::emu_config())
+                .unwrap();
+            black_box(out.stats.cycles);
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_crb_lookup,
+    bench_pipeline_ready_tracking,
+    bench_sim_layers
+);
 criterion_main!(benches);

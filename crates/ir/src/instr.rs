@@ -531,6 +531,16 @@ impl Instr {
             .collect()
     }
 
+    /// Calls `f` on each source register, in [`Instr::src_regs`]
+    /// order, without allocating.
+    pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
+        self.for_each_src_operand(|op| {
+            if let Operand::Reg(r) = op {
+                f(r);
+            }
+        });
+    }
+
     /// True if this instruction terminates a basic block.
     pub fn is_terminator(&self) -> bool {
         matches!(
@@ -703,6 +713,10 @@ mod tests {
     #[test]
     fn visitors_match_the_collecting_accessors() {
         let (a, b) = (Operand::Reg(Reg(1)), Operand::Imm(7));
+        // One instance of every `Op` variant (the match below is
+        // exhaustive, so a new variant fails to compile until it is
+        // listed here), with registers and immediates mixed so the
+        // register walks must skip immediates in place.
         let ops = [
             Op::Binary {
                 kind: BinKind::Sub,
@@ -710,29 +724,83 @@ mod tests {
                 lhs: a,
                 rhs: b,
             },
+            Op::Unary {
+                kind: UnKind::Neg,
+                dst: Reg(5),
+                src: a,
+            },
+            Op::Cmp {
+                pred: CmpPred::Ge,
+                dst: Reg(6),
+                lhs: b,
+                rhs: Operand::Reg(Reg(8)),
+            },
+            Op::Load {
+                dst: Reg(7),
+                object: MemObjectId(0),
+                addr: a,
+                offset: 3,
+            },
             Op::Store {
                 object: MemObjectId(0),
                 addr: b,
                 offset: 0,
                 value: a,
             },
+            Op::Branch {
+                pred: CmpPred::Lt,
+                lhs: Operand::Reg(Reg(9)),
+                rhs: a,
+                taken: BlockId(1),
+                not_taken: BlockId(2),
+            },
+            Op::Jump { target: BlockId(1) },
             Op::Call {
                 callee: FuncId(0),
-                args: vec![b, a, a],
+                args: vec![b, a, Operand::Reg(Reg(4)), a],
                 rets: vec![Reg(3), Reg(4)],
             },
-            Op::Ret { values: vec![a] },
-            Op::Jump { target: BlockId(1) },
+            Op::Ret {
+                values: vec![a, b, Operand::Reg(Reg(2))],
+            },
+            Op::Reuse {
+                region: RegionId(0),
+                body: BlockId(1),
+                cont: BlockId(2),
+            },
+            Op::Invalidate {
+                region: RegionId(0),
+            },
+            Op::Nop,
         ];
+        let mut seen = [false; 12];
         for op in ops {
+            seen[match op {
+                Op::Binary { .. } => 0,
+                Op::Unary { .. } => 1,
+                Op::Cmp { .. } => 2,
+                Op::Load { .. } => 3,
+                Op::Store { .. } => 4,
+                Op::Branch { .. } => 5,
+                Op::Jump { .. } => 6,
+                Op::Call { .. } => 7,
+                Op::Ret { .. } => 8,
+                Op::Reuse { .. } => 9,
+                Op::Invalidate { .. } => 10,
+                Op::Nop => 11,
+            }] = true;
             let i = instr(op);
             let mut srcs = Vec::new();
             i.for_each_src_operand(|o| srcs.push(o));
             assert_eq!(srcs, i.src_operands());
+            let mut regs = Vec::new();
+            i.for_each_src_reg(|r| regs.push(r));
+            assert_eq!(regs, i.src_regs(), "{:?}", i.op);
             let mut dsts = Vec::new();
             i.for_each_dst(|d| dsts.push(d));
             assert_eq!(dsts, i.dsts());
         }
+        assert!(seen.iter().all(|s| *s), "every Op variant is covered");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! order) and every memory object an 8-byte-element region in a linear
 //! data image (64-byte aligned, matching a cache-line-aligned loader).
 
-use std::collections::HashMap;
-
 use crate::instr::InstrId;
 use crate::object::MemObjectId;
 use crate::program::Program;
@@ -19,10 +17,19 @@ pub const ELEM_BYTES: u64 = 8;
 /// Alignment of memory objects in the data image.
 pub const OBJECT_ALIGN: u64 = 64;
 
+/// `code_addr` slot of an instruction id the layout never assigned
+/// (an id freed by a transformation, or one past the laid-out
+/// program).
+const NO_ADDR: u64 = u64::MAX;
+
 /// Addresses assigned to a program's instructions and objects.
 #[derive(Clone, Debug, Default)]
 pub struct CodeLayout {
-    code_addr: HashMap<InstrId, u64>,
+    /// Code address per instruction, indexed by [`InstrId::index`]
+    /// and sized by [`Program::instr_id_limit`]: the timing model
+    /// reads it once per dynamic instruction, so it is a dense table
+    /// rather than a map.
+    code_addr: Vec<u64>,
     object_base: Vec<u64>,
     code_size: u64,
     data_size: u64,
@@ -31,11 +38,11 @@ pub struct CodeLayout {
 impl CodeLayout {
     /// Computes the layout of `program`.
     pub fn of(program: &Program) -> CodeLayout {
-        let mut code_addr = HashMap::new();
+        let mut code_addr = vec![NO_ADDR; program.instr_id_limit() as usize];
         let mut pc = 0u64;
         for func in program.functions() {
             for (_, instr) in func.iter_instrs() {
-                code_addr.insert(instr.id, pc);
+                code_addr[instr.id.index()] = pc;
                 pc += INSTR_BYTES;
             }
         }
@@ -61,10 +68,10 @@ impl CodeLayout {
     /// Panics if the instruction was not part of the laid-out program
     /// (e.g. the layout is stale after a transformation).
     pub fn code_addr(&self, id: InstrId) -> u64 {
-        *self
-            .code_addr
-            .get(&id)
-            .unwrap_or_else(|| panic!("no address for {id}; stale layout?"))
+        match self.code_addr.get(id.index()) {
+            Some(&addr) if addr != NO_ADDR => addr,
+            _ => panic!("no address for {id}; stale layout?"),
+        }
     }
 
     /// The data address of `object[index]`.
@@ -139,5 +146,26 @@ mod tests {
         let p = pb.finish();
         let l = CodeLayout::of(&p);
         l.code_addr(InstrId(999));
+    }
+
+    #[test]
+    #[should_panic(expected = "no address")]
+    fn freed_id_panics() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0, 1);
+        let a = f.movi(1);
+        let _dead = f.movi(2);
+        f.ret(&[Operand::Reg(a)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let mut p = pb.finish();
+        let entry = p.function(id).entry();
+        let freed = p.function_mut(id).block_mut(entry).instrs.remove(1).id;
+        let l = CodeLayout::of(&p);
+        // The freed id is inside the table but has no slot; the
+        // survivors stay packed.
+        assert!(freed.index() < p.instr_id_limit() as usize);
+        assert_eq!(l.code_size(), 8);
+        l.code_addr(freed);
     }
 }

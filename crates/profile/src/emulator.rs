@@ -526,9 +526,8 @@ impl<'p> EmuRun<'p> {
 
         // Gather input values.
         self.inputs_buf.clear();
-        for op in instr.src_operands() {
-            self.inputs_buf.push(read_operand(&frame.regs, op));
-        }
+        let inputs = &mut self.inputs_buf;
+        instr.for_each_src_operand(|op| inputs.push(read_operand(&frame.regs, op)));
 
         // Memoization: record inputs (used-before-defined in the
         // anchor frame) before the instruction executes. Deeper
@@ -539,16 +538,18 @@ impl<'p> EmuRun<'p> {
         if let Some((mdepth, m)) = self.memo.as_mut() {
             m.body_instrs += 1;
             if depth == *mdepth {
-                for r in instr.src_regs() {
-                    if m.written.contains(&r) || m.inputs.iter().any(|(x, _)| *x == r) {
-                        continue;
+                let capacity = crb.input_capacity();
+                instr.for_each_src_reg(|r| {
+                    if abort_memo || m.written.contains(&r) || m.inputs.iter().any(|(x, _)| *x == r)
+                    {
+                        return;
                     }
-                    if m.inputs.len() >= crb.input_capacity() {
+                    if m.inputs.len() >= capacity {
                         abort_memo = true;
-                        break;
+                        return;
                     }
                     m.inputs.push((r, frame.regs[r.index()]));
-                }
+                });
             }
             if instr.is_store() {
                 abort_memo = true;
@@ -602,7 +603,10 @@ impl<'p> EmuRun<'p> {
                 ..
             } => {
                 let data = &self.memory[object.index()];
-                let idx = mask_index(self.inputs_buf[0].as_int() + offset, data.len());
+                let idx = mask_index(
+                    self.inputs_buf[0].as_int().wrapping_add(*offset),
+                    data.len(),
+                );
                 let v = data[idx as usize];
                 frame.regs[dst.index()] = v;
                 result = Some(v);
@@ -618,7 +622,10 @@ impl<'p> EmuRun<'p> {
             }
             Op::Store { object, offset, .. } => {
                 let data = &mut self.memory[object.index()];
-                let idx = mask_index(self.inputs_buf[0].as_int() + offset, data.len());
+                let idx = mask_index(
+                    self.inputs_buf[0].as_int().wrapping_add(*offset),
+                    data.len(),
+                );
                 let v = self.inputs_buf[1];
                 data[idx as usize] = v;
                 mem_access = Some(MemAccess {
@@ -700,16 +707,17 @@ impl<'p> EmuRun<'p> {
         let mut overflow = false;
         if let Some((mdepth, m)) = self.memo.as_mut() {
             if depth == *mdepth && instr.ext.contains(ccr_ir::InstrExt::LIVE_OUT) {
-                for dst in instr.dsts() {
+                let capacity = crb.output_capacity();
+                instr.for_each_dst(|dst| {
                     if m.outputs.contains(&dst) {
-                        continue;
+                        return;
                     }
-                    if m.outputs.len() >= crb.output_capacity() {
+                    if m.outputs.len() >= capacity {
                         overflow = true;
                     } else {
                         m.outputs.push(dst);
                     }
-                }
+                });
             }
         }
         if overflow {
@@ -717,9 +725,9 @@ impl<'p> EmuRun<'p> {
         }
         if let Some((mdepth, m)) = self.memo.as_mut() {
             if depth == *mdepth {
-                for dst in instr.dsts() {
+                instr.for_each_dst(|dst| {
                     m.written.insert(dst);
-                }
+                });
                 if instr.ext.contains(ccr_ir::InstrExt::REGION_END) {
                     let (_, done) = self.memo.take().expect("memo present");
                     // Output values are read at the endpoint, when
@@ -972,6 +980,41 @@ mod tests {
         pb.set_main(id);
         let out = run_main(&pb.finish());
         assert_eq!(out.returned, vec![Value::from_int(40)]);
+    }
+
+    /// `i64::MAX + 1` wraps to `i64::MIN` (the ALU's wrapping
+    /// semantics) in every build profile, then masks into bounds.
+    #[test]
+    fn load_address_overflow_wraps() {
+        let table = vec![10, 20, 30, 40, 50, 60];
+        let idx = i64::MIN.rem_euclid(table.len() as i64) as usize;
+        let mut pb = ProgramBuilder::new();
+        let o = pb.table("o", table.clone());
+        let mut f = pb.function("main", 0, 1);
+        let base = f.movi(i64::MAX);
+        let v = f.load_off(o, base, 1);
+        f.ret(&[Operand::Reg(v)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let out = run_main(&pb.finish());
+        assert_eq!(out.returned, vec![Value::from_int(table[idx])]);
+    }
+
+    #[test]
+    fn store_address_overflow_wraps() {
+        let size = 6;
+        let idx = i64::MIN.rem_euclid(size);
+        let mut pb = ProgramBuilder::new();
+        let o = pb.object("o", size as usize);
+        let mut f = pb.function("main", 0, 1);
+        let base = f.movi(i64::MAX);
+        f.store_off(o, base, 1, 77);
+        let v = f.load(o, idx);
+        f.ret(&[Operand::Reg(v)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let out = run_main(&pb.finish());
+        assert_eq!(out.returned, vec![Value::from_int(77)]);
     }
 
     #[test]

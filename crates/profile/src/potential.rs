@@ -101,18 +101,23 @@ struct SigAccum {
 impl SigAccum {
     fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &HashMap<(MemObjectId, u64), u64>) {
         self.instrs += 1;
-        for (op, val) in event.instr.src_operands().iter().zip(event.inputs) {
-            if let Operand::Reg(r) = op {
-                if !self.written.contains(r) && !self.inputs.iter().any(|(x, _)| x == r) {
-                    self.inputs.push((*r, *val));
+        // `event.inputs` holds the operand values in
+        // `for_each_src_operand` order, so position `k` pairs them.
+        let mut k = 0;
+        event.instr.for_each_src_operand(|op| {
+            let val = event.inputs.get(k);
+            k += 1;
+            if let (Operand::Reg(r), Some(val)) = (op, val) {
+                if !self.written.contains(&r) && !self.inputs.iter().any(|(x, _)| *x == r) {
+                    self.inputs.push((r, *val));
                 }
             }
-        }
-        for d in event.instr.dsts() {
+        });
+        event.instr.for_each_dst(|d| {
             if !self.written.contains(&d) {
                 self.written.push(d);
             }
-        }
+        });
         if let Some(mem) = event.mem {
             if mem.is_store {
                 self.stores += 1;

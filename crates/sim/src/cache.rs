@@ -32,6 +32,12 @@ impl CacheConfig {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: `addr >> line_shift` is the line number.
+    line_shift: u32,
+    /// `lines - 1`: `line & index_mask` is the set index.
+    index_mask: u64,
+    /// `log2(lines)`: `line >> index_bits` is the tag.
+    index_bits: u32,
     tags: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
@@ -49,6 +55,9 @@ impl Cache {
         assert!(config.lines().is_power_of_two() && config.lines() > 0);
         Cache {
             tags: vec![None; config.lines() as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            index_mask: config.lines() - 1,
+            index_bits: config.lines().trailing_zeros(),
             config,
             hits: 0,
             misses: 0,
@@ -58,9 +67,9 @@ impl Cache {
     /// Accesses `addr`, returning the extra cycles charged (0 on hit,
     /// the miss penalty on miss). The line is installed on a miss.
     pub fn access(&mut self, addr: u64) -> u64 {
-        let line = addr / self.config.line_bytes;
-        let index = (line % self.config.lines()) as usize;
-        let tag = line / self.config.lines();
+        let line = self.line_of(addr);
+        let index = (line & self.index_mask) as usize;
+        let tag = line >> self.index_bits;
         if self.tags[index] == Some(tag) {
             self.hits += 1;
             0
@@ -69,6 +78,12 @@ impl Cache {
             self.tags[index] = Some(tag);
             self.config.miss_penalty
         }
+    }
+
+    /// The line number of `addr` (`addr / line_bytes`, as a shift:
+    /// `new` guarantees a power-of-two line size).
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
     }
 
     /// Hits so far.

@@ -109,10 +109,21 @@ pub struct Pipeline {
     last_fetch_line: Option<u64>,
     frames: Vec<Frame>,
     pending_call: Option<(u64, Vec<Reg>)>,
+    // `ready` vectors of popped frames and return-register lists of
+    // finished calls, recycled by later calls so the call/ret path
+    // stops allocating (the emulator's `regs_pool` pattern). Scratch:
+    // not state — snapshots and fingerprints exclude both.
+    ready_pool: Vec<Vec<u64>>,
+    ret_regs_pool: Vec<Vec<Reg>>,
     horizon: u64,
     stats: SimStats,
     attr: Option<Box<AttrState>>,
 }
+
+/// Scoreboard entries a callee frame starts with: its parameters and
+/// low registers all become ready when the call issues. Snapshots and
+/// fingerprints see the length, so it is part of the timing state.
+const CALL_FRAME_REGS: usize = 64;
 
 impl Pipeline {
     /// Creates a pipeline for a program laid out by `layout`.
@@ -131,6 +142,8 @@ impl Pipeline {
             last_fetch_line: None,
             frames: vec![Frame::new(Vec::new(), Vec::new())],
             pending_call: None,
+            ready_pool: Vec::new(),
+            ret_regs_pool: Vec::new(),
             horizon: 0,
             stats: SimStats::default(),
             attr: None,
@@ -237,16 +250,6 @@ impl Pipeline {
         *slot(&mut self.fu_used) += 1;
         self.last_issue = t;
         t
-    }
-
-    fn ready_of(&self, reg: Reg) -> u64 {
-        self.frames
-            .last()
-            .expect("frame")
-            .ready
-            .get(reg.index())
-            .copied()
-            .unwrap_or(0)
     }
 
     fn set_ready(&mut self, reg: Reg, cycle: u64, kind: AttrBucket) {
@@ -495,7 +498,7 @@ impl TraceSink for Pipeline {
         self.stats.dyn_instrs += 1;
 
         // Fetch: one I-cache access per new line on the fetch stream.
-        let line = addr / self.machine.icache.line_bytes;
+        let line = self.icache.line_of(addr);
         if self.last_fetch_line != Some(line) {
             let extra = self.icache.access(addr);
             self.fetch_ready += extra;
@@ -511,32 +514,26 @@ impl TraceSink for Pipeline {
         // instance's input bank (the validate stage) — unless the
         // machine value-speculates across validation, in which case
         // the live-outs are forwarded immediately and validation
-        // retires off the critical path.
-        let owned_srcs;
-        let src_regs: &[Reg] = match &event.reuse {
-            Some(r) if r.hit => {
-                if self.machine.speculative_validation {
-                    &[]
-                } else {
-                    // Borrow the lookup's validation read set in place
-                    // — the hottest consumer of a reuse hit, so it
-                    // must not clone per event.
-                    &r.inputs
-                }
-            }
-            _ => {
-                owned_srcs = instr.src_regs();
-                &owned_srcs
-            }
-        };
+        // retires off the critical path. The latest-ready register
+        // binds the wait (the first one on a tie); a register past
+        // the end of the scoreboard reads as ready at 0.
         let mut ops_ready = 0;
         let mut bind: Option<Reg> = None;
-        for r in src_regs {
-            let at = self.ready_of(*r);
+        let ready = &self.frames.last().expect("frame").ready;
+        let mut wait_for = |r: Reg| {
+            let at = ready.get(r.index()).copied().unwrap_or(0);
             if at > ops_ready {
                 ops_ready = at;
-                bind = Some(*r);
+                bind = Some(r);
             }
+        };
+        match &event.reuse {
+            Some(r) if r.hit => {
+                if !self.machine.speculative_validation {
+                    r.inputs.iter().copied().for_each(&mut wait_for);
+                }
+            }
+            _ => instr.for_each_src_reg(&mut wait_for),
         }
         let earliest = self.fetch_ready.max(ops_ready);
 
@@ -601,7 +598,10 @@ impl TraceSink for Pipeline {
                 self.last_fetch_line = None;
             }
             Op::Call { rets, .. } => {
-                self.pending_call = Some((t + 1, rets.clone()));
+                let mut ret_regs = self.ret_regs_pool.pop().unwrap_or_default();
+                ret_regs.clear();
+                ret_regs.extend_from_slice(rets);
+                self.pending_call = Some((t + 1, ret_regs));
                 self.last_fetch_line = None;
             }
             Op::Ret { .. } => {
@@ -665,20 +665,25 @@ impl TraceSink for Pipeline {
             .unwrap_or((self.last_issue + 1, Vec::new()));
         // Parameters become available once the call has issued; the
         // callee numbers them r0..rN.
-        self.frames.push(Frame::new(vec![ready_at; 64], ret_regs));
+        let mut ready = self.ready_pool.pop().unwrap_or_default();
+        ready.clear();
+        ready.resize(CALL_FRAME_REGS, ready_at);
+        self.frames.push(Frame::new(ready, ret_regs));
     }
 
     fn on_ret(&mut self, _from: FuncId) {
         let done = self.frames.pop().expect("matched call frame");
         let at = self.last_issue + 1;
         if let Some(_caller) = self.frames.last() {
-            for r in done.ret_regs {
+            for &r in &done.ret_regs {
                 self.set_ready(r, at, AttrBucket::Issue);
             }
         } else {
             // Returning from main: keep a frame for robustness.
             self.frames.push(Frame::new(Vec::new(), Vec::new()));
         }
+        self.ready_pool.push(done.ready);
+        self.ret_regs_pool.push(done.ret_regs);
     }
 }
 
