@@ -2,10 +2,11 @@
 //! host-performance work in DESIGN.md §9 targets: CRB instance
 //! scanning (fingerprint pre-filter on vs off), ghost scanning, the
 //! pipeline's register ready-tracking, and the per-layer cost of one
-//! simulation (bare emulation vs emulation plus the timing pipeline).
+//! workload (bare emulation, emulation plus the timing pipeline, and
+//! emulation under the Figure 4 reuse-potential study).
 
 use ccr_ir::{Reg, RegionId, Value};
-use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, RecordedInstance};
+use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, PotentialStudy, RecordedInstance};
 use ccr_sim::{simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -186,9 +187,10 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
 fn bench_sim_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_layers");
     g.sample_size(10);
-    // One workload through two stacks: the interpreter alone (no CRB,
-    // no timing), then the same instruction stream driving the timing
-    // pipeline. The gap between the two is the pipeline's host cost.
+    // One workload through three stacks: the interpreter alone (no
+    // CRB, no timing), then the same instruction stream driving the
+    // timing pipeline, then the limit study. The gap between the bare
+    // run and each of the others is that layer's host cost.
     let program = build("124.m88ksim", InputSet::Train, 1).unwrap();
     g.bench_function("emulate_bare_m88ksim", |b| {
         let emulator = Emulator::with_config(&program, ccr_bench::emu_config());
@@ -202,6 +204,16 @@ fn bench_sim_layers(c: &mut Criterion) {
             let out = simulate_baseline(&program, &MachineConfig::paper(), ccr_bench::emu_config())
                 .unwrap();
             black_box(out.stats.cycles);
+        });
+    });
+    // The same instruction stream observed by the limit study (what
+    // `profile.potential_ms` measures per workload).
+    g.bench_function("potential_study_m88ksim", |b| {
+        let emulator = Emulator::with_config(&program, ccr_bench::emu_config());
+        b.iter(|| {
+            let mut study = PotentialStudy::for_program(&program);
+            emulator.run(&mut NullCrb, &mut study).unwrap();
+            black_box(study.finish().region_reusable);
         });
     });
     g.finish();

@@ -69,7 +69,7 @@ use crate::{emu_config, SuiteRun};
 
 /// Default retained-entry capacity of a fresh engine's
 /// [`SimResultCache`]. Generous relative to the full experiment
-/// registry (455 requested points → 403 unique sims), so a default
+/// registry (455 requested points → 351 unique sims), so a default
 /// engine never evicts mid-sweep; serve sessions that outgrow it
 /// evict least-recently-used entries.
 pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 4096;

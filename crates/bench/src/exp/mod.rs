@@ -53,11 +53,14 @@ pub mod specs;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ccr_core::compile::{compile_from_profile, profile_training, CompileConfig, CompiledWorkload};
+use ccr_core::compile::{
+    compile_from_profile, profile_training, CompileConfig, CompiledWorkload, TrialKey,
+};
 use ccr_core::harness::Harness;
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
@@ -255,7 +258,9 @@ pub(crate) fn compile_key(
 
 /// Baseline simulations depend on the optimized program and the
 /// machine — not on regions or the CRB — so their key drops the
-/// region-config hash entirely.
+/// region-config hash entirely. Of the machine it hashes only
+/// [`MachineConfig::baseline_fields`]: a baseline program has no
+/// `reuse` instructions, so the reuse-only latencies never reach it.
 pub(crate) fn base_sim_key(
     name: &str,
     input: InputSet,
@@ -269,7 +274,7 @@ pub(crate) fn base_sim_key(
         config.opt,
         config.emu.max_instrs,
         config.emu.max_depth,
-        hash_fields(&machine.fields()),
+        hash_fields(&machine.baseline_fields()),
     )
 }
 
@@ -513,21 +518,21 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
 /// thread is already computing blocks until that computation lands,
 /// then reads it as a hit, so the hit/miss totals are deterministic.
 /// Errors are never cached (a blocked waiter retries with its own
-/// computation).
-struct Memo<V> {
-    state: Mutex<MemoState<V>>,
+/// computation). Keys match by equality; the hash only picks a bucket.
+struct Memo<K, V> {
+    state: Mutex<MemoState<K, V>>,
     cv: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-struct MemoState<V> {
-    done: HashMap<String, Arc<V>>,
+struct MemoState<K, V> {
+    done: HashMap<K, Arc<V>>,
     /// Keys some thread is currently computing.
-    pending: HashSet<String>,
+    pending: HashSet<K>,
 }
 
-impl<V> Default for Memo<V> {
+impl<K, V> Default for Memo<K, V> {
     fn default() -> Self {
         Memo {
             state: Mutex::new(MemoState {
@@ -541,7 +546,7 @@ impl<V> Default for Memo<V> {
     }
 }
 
-impl<V> Memo<V> {
+impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -550,11 +555,17 @@ impl<V> Memo<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    fn get_or_try(
+    /// Sums `count` over every computed value.
+    fn sum(&self, count: impl Fn(&V) -> u64) -> u64 {
+        let state = self.state.lock().expect("cache lock");
+        state.done.values().map(|v| count(v)).sum()
+    }
+
+    fn get_or_try<E>(
         &self,
-        key: String,
-        compute: impl FnOnce() -> Result<Arc<V>, String>,
-    ) -> Result<Arc<V>, String> {
+        key: K,
+        compute: impl FnOnce() -> Result<Arc<V>, E>,
+    ) -> Result<Arc<V>, E> {
         let mut state = self.state.lock().expect("cache lock");
         loop {
             if let Some(hit) = state.done.get(&key) {
@@ -590,25 +601,38 @@ pub(crate) fn profile_key(name: &str, scale: u32, config: &CompileConfig) -> Str
     )
 }
 
+/// The profile stage's cached value: the training build's value
+/// profile and the reiteration trials run on that build.
+struct ProfileStage {
+    profile: Arc<ReuseProfile>,
+    /// Trial hit ratios by [`TrialKey`]. The profile key already fixes
+    /// the optimized training build and the emulator limits, the rest
+    /// of what a trial reads.
+    trials: Memo<TrialKey, Vec<f64>>,
+}
+
 /// A shared, staged compile memo. Compiles are keyed by (workload,
 /// target input, scale, region-config hash, optimizer and emulator
 /// settings): the fix for sweeps that vary only the CRB geometry
 /// recompiling an identical program per configuration. Beneath them
 /// sits the profile stage ([`ccr_core::compile::profile_training`]),
 /// keyed by [`profile_key`], so every region configuration and target
-/// input of one workload shares one value profile.
+/// input of one workload shares one value profile. Each profile stage
+/// also keeps the reiteration trials run on its training build, keyed
+/// by [`TrialKey`]: region configurations that form identical specs,
+/// and a reference-input compile and its training twin, share a trial.
 ///
-/// Thread-safe and **single-flight** at both stages: a concurrent
+/// Thread-safe and **single-flight** at all three memos: a concurrent
 /// miss on a key another thread is already computing blocks until
 /// that computation lands, then reads it as a hit — so each unique
-/// unit compiles, and each training build profiles, exactly once even
-/// when [`crate::engine::Engine`] shares one cache across concurrent
-/// `ccr serve` requests, and the hit/miss totals stay deterministic.
-/// Errors are never cached at either stage.
+/// unit compiles, each training build profiles, and each distinct
+/// trial runs exactly once even when [`crate::engine::Engine`] shares
+/// one cache across concurrent `ccr serve` requests, and the hit/miss
+/// totals stay deterministic. Errors are never cached at any stage.
 #[derive(Default)]
 pub struct CompileCache {
-    compiles: Memo<CompiledWorkload>,
-    profiles: Memo<ReuseProfile>,
+    compiles: Memo<String, CompiledWorkload>,
+    profiles: Memo<String, ProfileStage>,
 }
 
 impl CompileCache {
@@ -637,10 +661,22 @@ impl CompileCache {
         self.profiles.misses()
     }
 
+    /// Compiles that reused an earlier compile's reiteration trial.
+    pub fn trial_hits(&self) -> u64 {
+        self.profiles.sum(|stage| stage.trials.hits())
+    }
+
+    /// Compiles that ran a reiteration trial.
+    pub fn trial_misses(&self) -> u64 {
+        self.profiles.sum(|stage| stage.trials.misses())
+    }
+
     /// Returns the cached compile of `(name, target, scale, config)`,
     /// compiling and memoizing on first use. A compile miss takes the
     /// training build's profile from the profile stage, profiling it
-    /// only if no earlier compile of the workload did.
+    /// only if no earlier compile of the workload did, and runs the
+    /// reiteration trial only if no earlier compile of the workload ran
+    /// an equal one.
     ///
     /// # Errors
     ///
@@ -660,17 +696,35 @@ impl CompileCache {
                         .ok_or_else(|| format!("unknown benchmark `{name}`"))
                 };
                 let train = build(InputSet::Train)?;
-                let target = build(target)?;
-                let profile = self
+                let target = match target {
+                    InputSet::Train => None,
+                    input => Some(build(input)?),
+                };
+                let stage = self
                     .profiles
                     .get_or_try(profile_key(name, scale, config), || {
                         profile_training(&train, config)
-                            .map(Arc::new)
+                            .map(|profile| {
+                                Arc::new(ProfileStage {
+                                    profile: Arc::new(profile),
+                                    trials: Memo::default(),
+                                })
+                            })
                             .map_err(|e| format!("{name}: {e}"))
                     })?;
-                compile_from_profile(&profile, &train, &target, config)
-                    .map(Arc::new)
-                    .map_err(|e| format!("{name}: {e}"))
+                compile_from_profile(
+                    &stage.profile,
+                    &train,
+                    target.as_ref().unwrap_or(&train),
+                    config,
+                    |trial| {
+                        stage
+                            .trials
+                            .get_or_try(trial.key().clone(), || trial.run().map(Arc::new))
+                    },
+                )
+                .map(Arc::new)
+                .map_err(|e| format!("{name}: {e}"))
             })
     }
 }

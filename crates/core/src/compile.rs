@@ -8,13 +8,15 @@
 //! region configuration and the target build. [`compile_ccr`] is the
 //! two in sequence; a cache may keep the profile stage's output and
 //! run only the second stage for each further region configuration.
+//! The second stage asks its caller for the reiteration trial's hit
+//! ratios, so a cache may also answer repeated trials ([`TrialKey`]).
 
 use std::sync::Arc;
 
 use ccr_ir::Program;
 use ccr_opt::{OptConfig, PassRecord, RecordingObserver};
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, ReuseProfile, ValueProfiler};
-use ccr_regions::{FormationStats, RegionConfig, RegionInfo};
+use ccr_regions::{FormationStats, RegionConfig, RegionInfo, RegionSpec};
 
 /// Configuration of the compile pipeline.
 #[derive(Clone, Copy, Debug, Default)]
@@ -88,7 +90,9 @@ pub fn compile_ccr(
     config: &CompileConfig,
 ) -> Result<CompiledWorkload, EmuError> {
     let profile = Arc::new(profile_training(train, config)?);
-    compile_from_profile(&profile, train, target, config)
+    compile_from_profile(&profile, train, target, config, |trial| {
+        trial.run().map(Arc::new)
+    })
 }
 
 /// The profile stage of [`compile_ccr`]: optimizes the training build
@@ -108,13 +112,59 @@ pub fn profile_training(train: &Program, config: &CompileConfig) -> Result<Reuse
     Ok(profiler.finish())
 }
 
-/// The rest of [`compile_ccr`] after the profile stage: optimizes both
-/// builds, forms regions on the training build from `profile`, runs
-/// the reiteration trial and annotates the target.
+/// What a reiteration trial's hit ratios depend on besides the
+/// optimized training build and the emulator limits, which the profile
+/// stage already fixes: the formed regions and the trial buffer's
+/// geometry. Two trials of one profile stage with equal keys measure
+/// equal ratios.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct TrialKey {
+    /// The regions formed on the training build, in formation order.
+    specs: Vec<RegionSpec>,
+    /// Instances per trial buffer entry
+    /// ([`RegionConfig::trial_instances`]).
+    instances: usize,
+    /// Input-bank width ([`RegionConfig::max_live_in`]).
+    max_live_in: usize,
+    /// Output-bank width ([`RegionConfig::max_live_out`]).
+    max_live_out: usize,
+}
+
+/// A reiteration trial ready to run: the optimized training build, the
+/// emulator limits and its [`TrialKey`].
+pub struct Trial<'a> {
+    train_opt: &'a Program,
+    emu: EmuConfig,
+    key: TrialKey,
+}
+
+impl Trial<'_> {
+    /// What the trial's result depends on within its profile stage.
+    pub fn key(&self) -> &TrialKey {
+        &self.key
+    }
+
+    /// Runs the annotated training build against a conflict-free
+    /// buffer and returns each region's hit ratio, in spec order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError`] if the trial exceeds emulator limits.
+    pub fn run(&self) -> Result<Vec<f64>, EmuError> {
+        trial_hit_ratios(self.train_opt, &self.key, self.emu)
+    }
+}
+
+/// The rest of [`compile_ccr`] after the profile stage: optimizes the
+/// training build, forms regions on it from `profile`, takes the
+/// reiteration trial's hit ratios from `trial_ratios` and annotates the
+/// target.
 ///
 /// `profile` must come from [`profile_training`] on the same `train`
 /// with the same `config.opt` and `config.emu`; the compiled workload
-/// shares it.
+/// shares it. `trial_ratios` is called at most once; it returns
+/// [`Trial::run`]'s result, or a result recorded for an equal
+/// [`TrialKey`] of the same profile stage.
 ///
 /// # Errors
 ///
@@ -130,22 +180,32 @@ pub fn compile_from_profile(
     train: &Program,
     target: &Program,
     config: &CompileConfig,
+    trial_ratios: impl FnOnce(Trial<'_>) -> Result<Arc<Vec<f64>>, EmuError>,
 ) -> Result<CompiledWorkload, EmuError> {
     assert_same_code(train, target);
 
     // Optimize both builds identically; the optimizer is
     // deterministic, so structure stays aligned with the profiled
     // build. Pass records are taken from the target build (the one we
-    // measure).
-    let train_opt = optimized(train, config);
-    let mut base = target.clone();
+    // measure). When the target is the training program, its
+    // optimized build is the training one: optimize once.
     let mut observer = RecordingObserver::default();
-    ccr_opt::optimize_observed(&mut base, config.opt, &mut observer);
-    debug_assert_eq!(
-        train_opt.instr_count(),
-        base.instr_count(),
-        "optimizer must transform both builds identically"
-    );
+    let same = std::ptr::eq(train, target) || train == target;
+    let mut train_opt = train.clone();
+    let target_opt = if same {
+        ccr_opt::optimize_observed(&mut train_opt, config.opt, &mut observer);
+        None
+    } else {
+        ccr_opt::optimize(&mut train_opt, config.opt);
+        let mut base = target.clone();
+        ccr_opt::optimize_observed(&mut base, config.opt, &mut observer);
+        debug_assert_eq!(
+            train_opt.instr_count(),
+            base.instr_count(),
+            "optimizer must transform both builds identically"
+        );
+        Some(base)
+    };
 
     // Select regions on the training build.
     let mut formation = FormationStats::new();
@@ -156,7 +216,16 @@ pub fn compile_from_profile(
     // build against an idealized buffer and discard regions whose
     // predicted hit ratio cannot pay for the reuse-failure flushes.
     if config.region.min_predicted_hit > 0.0 && !specs.is_empty() {
-        let ratios = trial_hit_ratios(&train_opt, &specs, config)?;
+        let ratios = trial_ratios(Trial {
+            train_opt: &train_opt,
+            emu: config.emu,
+            key: TrialKey {
+                specs: specs.clone(),
+                instances: config.region.trial_instances,
+                max_live_in: config.region.max_live_in,
+                max_live_out: config.region.max_live_out,
+            },
+        })?;
         // Cost model: a hit saves roughly the region's serialized
         // execution (static instructions over a conservative IPC); a
         // miss costs a mispredict-like flush. Keep a region only if
@@ -167,7 +236,7 @@ pub fn compile_from_profile(
         let before = specs.len();
         specs = specs
             .into_iter()
-            .zip(&ratios)
+            .zip(ratios.iter())
             .filter_map(|(s, &h)| {
                 let saved = s.static_instrs as f64 / ASSUMED_IPC;
                 let worth = h * saved >= (1.0 - h) * MISS_COST;
@@ -178,6 +247,7 @@ pub fn compile_from_profile(
         formation.check();
     }
 
+    let base = target_opt.unwrap_or(train_opt);
     let mut annotated_target = base.clone();
     let regions = ccr_regions::transform::annotate(&mut annotated_target, specs);
 
@@ -211,13 +281,13 @@ fn optimized(program: &Program, config: &CompileConfig) -> Program {
 /// and returns each region's hit ratio, in spec order.
 fn trial_hit_ratios(
     train_opt: &Program,
-    specs: &[ccr_regions::RegionSpec],
-    config: &CompileConfig,
+    key: &TrialKey,
+    emu: EmuConfig,
 ) -> Result<Vec<f64>, EmuError> {
     use ccr_profile::{ExecEvent, TraceSink};
 
     let mut trial = train_opt.clone();
-    let infos = ccr_regions::transform::annotate(&mut trial, specs.to_vec());
+    let infos = ccr_regions::transform::annotate(&mut trial, key.specs.clone());
 
     /// (hits, misses) per region, indexed by region id.
     struct HitCounter {
@@ -239,17 +309,17 @@ fn trial_hit_ratios(
     // One entry per region: the trial measures locality, not buffer
     // conflicts (entry-count effects are the hardware's business).
     let mut buffer = ccr_sim::ReuseBuffer::new(ccr_sim::CrbConfig {
-        entries: specs.len().max(1),
-        instances: config.region.trial_instances,
-        input_bank: config.region.max_live_in,
-        output_bank: config.region.max_live_out,
+        entries: key.specs.len().max(1),
+        instances: key.instances,
+        input_bank: key.max_live_in,
+        output_bank: key.max_live_out,
         replacement: ccr_sim::Replacement::Lru,
         nonuniform: None,
     });
     let mut counter = HitCounter {
         counts: vec![(0, 0); trial.region_count()],
     };
-    Emulator::with_config(&trial, config.emu).run(&mut buffer, &mut counter)?;
+    Emulator::with_config(&trial, emu).run(&mut buffer, &mut counter)?;
     Ok(infos
         .iter()
         .map(|info| {

@@ -6,7 +6,7 @@
 //! simulated CRB, the cross-run store. This module instruments the
 //! *host*: what the `ccr exp` planner decided, how long each compile
 //! and simulation took, how busy the job-pool workers were, and which
-//! points were the stragglers on the critical path. A 403-sim `--all`
+//! points were the stragglers on the critical path. A 351-sim `--all`
 //! run no longer runs dark.
 //!
 //! Three sinks, all optional and all off by default:

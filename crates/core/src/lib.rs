@@ -27,7 +27,7 @@ pub mod runreport;
 
 pub use compile::{
     compile_ccr, compile_from_profile, profile_training, CompileConfig, CompileTelemetry,
-    CompiledWorkload,
+    CompiledWorkload, Trial, TrialKey,
 };
 pub use harness::{Harness, HarnessOptions, HarnessSummary, ProgressMode, HARNESS_SCHEMA_VERSION};
 pub use jobs::{

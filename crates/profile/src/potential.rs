@@ -26,19 +26,24 @@
 //!   inside an active pure-loop invocation are attributed to the
 //!   cyclic detector; all others to the path detector, so the two
 //!   never double-count.
-
-use std::collections::{HashMap, VecDeque};
+//!
+//! All per-run state is dense, like the value profiler's: per-depth
+//! segments in a vector indexed by call depth and reset in place, one
+//! store-version array per memory object, fixed-depth signature rings
+//! indexed by a flat (function, block) slot, and per-accumulator
+//! epoch-stamped register tables.
 
 use ccr_ir::{BlockId, FuncId, MemObjectId, Operand, Program, Reg, Value};
 
-use crate::rps::{candidate_loops, hash_values, LoopKey, LoopMeta};
+use crate::rps::{candidate_loops, BlockSet, ValueHasher};
 use crate::trace::{ExecEvent, TraceSink};
 
 /// Limit-study parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PotentialConfig {
     /// Records of previous dynamic information kept per code segment
-    /// (8 in the paper).
+    /// (8 in the paper). 0 keeps no history, so nothing is ever
+    /// reusable.
     pub history_depth: usize,
     /// Maximum block executions chained into one acyclic path region.
     pub max_path_blocks: usize,
@@ -88,42 +93,84 @@ fn ratio(n: u64, d: u64) -> f64 {
 }
 
 /// Accumulates the input signature of a region (block, path, or loop
-/// invocation) as its instructions execute.
-#[derive(Clone, Debug, Default)]
+/// invocation) as its instructions execute. Reset in place when a new
+/// segment opens, so its buffers are allocated once per call depth.
+#[derive(Debug)]
 struct SigAccum {
+    /// Live-in registers with their values, in first-read order.
     inputs: Vec<(Reg, Value)>,
-    written: Vec<Reg>,
+    /// Loaded (object, index, store version), in execution order.
     loads: Vec<(MemObjectId, u64, u64)>,
+    /// `seen[r] == epoch` once register `r` was read or written in the
+    /// current segment: such a register is never a new live-in.
+    seen: Vec<u32>,
+    /// Stamp of the current segment; never 0, the "unseen" fill.
+    epoch: u32,
     instrs: u64,
     stores: u64,
 }
 
+impl Default for SigAccum {
+    fn default() -> Self {
+        SigAccum {
+            inputs: Vec::new(),
+            loads: Vec::new(),
+            seen: Vec::new(),
+            epoch: 1,
+            instrs: 0,
+            stores: 0,
+        }
+    }
+}
+
 impl SigAccum {
-    fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &HashMap<(MemObjectId, u64), u64>) {
+    fn reset(&mut self) {
+        self.inputs.clear();
+        self.loads.clear();
+        self.instrs = 0;
+        self.stores = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &[Vec<u64>]) {
         self.instrs += 1;
+        let SigAccum {
+            inputs,
+            seen,
+            epoch,
+            ..
+        } = self;
+        let epoch = *epoch;
+        let mut first_touch = |r: Reg| {
+            if seen.len() <= r.index() {
+                seen.resize(r.index() + 1, 0);
+            }
+            std::mem::replace(&mut seen[r.index()], epoch) != epoch
+        };
         // `event.inputs` holds the operand values in
-        // `for_each_src_operand` order, so position `k` pairs them.
-        let mut k = 0;
+        // `for_each_src_operand` order, so position pairs them.
+        let mut vals = event.inputs.iter();
         event.instr.for_each_src_operand(|op| {
-            let val = event.inputs.get(k);
-            k += 1;
-            if let (Operand::Reg(r), Some(val)) = (op, val) {
-                if !self.written.contains(&r) && !self.inputs.iter().any(|(x, _)| *x == r) {
-                    self.inputs.push((r, *val));
+            if let (Operand::Reg(r), Some(&val)) = (op, vals.next()) {
+                if first_touch(r) {
+                    inputs.push((r, val));
                 }
             }
         });
         event.instr.for_each_dst(|d| {
-            if !self.written.contains(&d) {
-                self.written.push(d);
-            }
+            first_touch(d);
         });
         if let Some(mem) = event.mem {
             if mem.is_store {
                 self.stores += 1;
             } else {
                 let v = loc_version
-                    .get(&(mem.object, mem.index))
+                    .get(mem.object.index())
+                    .and_then(|versions| versions.get(mem.index as usize))
                     .copied()
                     .unwrap_or(0);
                 self.loads.push((mem.object, mem.index, v));
@@ -133,19 +180,21 @@ impl SigAccum {
 
     /// Signature over live-in values, load locations, and load
     /// versions: equal signatures mean equal inputs with memory
-    /// untouched in between.
+    /// untouched in between. Equals [`crate::rps::hash_values`] over
+    /// the flattened `(reg, value)*` then `(object, index, version)*`
+    /// words.
     fn signature(&self) -> u64 {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.inputs.len() + self.loads.len() * 3);
+        let mut h = ValueHasher::new();
         for (r, v) in &self.inputs {
-            vals.push(Value::from_int(i64::from(r.0)));
-            vals.push(*v);
+            h.push(u64::from(r.0));
+            h.push(v.0 as u64);
         }
         for (o, i, ver) in &self.loads {
-            vals.push(Value::from_int(i64::from(o.0)));
-            vals.push(Value::from_int(*i as i64));
-            vals.push(Value::from_int(*ver as i64));
+            h.push(u64::from(o.0));
+            h.push(*i);
+            h.push(*ver);
         }
-        hash_values(&vals)
+        h.finish()
     }
 
     /// Instructions counted reusable on a signature match.
@@ -154,65 +203,111 @@ impl SigAccum {
     }
 }
 
+/// The last `depth` signatures of every code segment, as one ring of
+/// `depth` words per slot.
 #[derive(Debug)]
 struct History {
-    records: HashMap<(FuncId, BlockId), VecDeque<u64>>,
     depth: usize,
+    sigs: Vec<u64>,
+    /// Signatures ever recorded per slot; the next write goes to
+    /// position `recorded % depth`, the oldest record once full.
+    recorded: Vec<u64>,
 }
 
 impl History {
-    fn new(depth: usize) -> History {
+    fn new(slots: usize, depth: usize) -> History {
         History {
-            records: HashMap::new(),
             depth,
+            sigs: vec![0; slots * depth],
+            recorded: vec![0; slots],
         }
     }
 
-    /// Checks `sig` against the segment's history and records it.
-    fn check_and_record(&mut self, key: (FuncId, BlockId), sig: u64) -> bool {
-        let h = self.records.entry(key).or_default();
-        let hit = h.iter().any(|&s| s == sig);
-        if h.len() == self.depth {
-            h.pop_front();
+    /// Checks `sig` against the slot's history and records it. With
+    /// depth 0 there is no history: never a hit, nothing recorded.
+    fn check_and_record(&mut self, slot: usize, sig: u64) -> bool {
+        if self.depth == 0 {
+            return false;
         }
-        h.push_back(sig);
+        let ring = &mut self.sigs[slot * self.depth..(slot + 1) * self.depth];
+        let recorded = &mut self.recorded[slot];
+        let held = (*recorded).min(self.depth as u64) as usize;
+        let hit = ring[..held].contains(&sig);
+        ring[(*recorded % self.depth as u64) as usize] = sig;
+        *recorded += 1;
         hit
     }
 }
 
-#[derive(Debug)]
-struct PathState {
-    func: FuncId,
-    head: BlockId,
-    blocks: Vec<BlockId>,
+/// One open-or-closed segment of a call depth.
+#[derive(Debug, Default)]
+struct Segment {
+    open: bool,
     accum: SigAccum,
-    /// Instructions inside this path already proven block-reusable;
-    /// credited to the region count when the path itself misses, so
-    /// region-level coverage subsumes block-level coverage (a single
-    /// block is a trivial region).
+    /// Instructions inside this segment already proven
+    /// block-reusable; credited to the region count when the segment
+    /// itself misses, so region-level coverage subsumes block-level
+    /// coverage (a single block is a trivial region).
     block_matched: u64,
 }
 
-#[derive(Debug)]
-struct LoopState {
-    key: LoopKey,
-    accum: SigAccum,
-    block_matched: u64,
+impl Segment {
+    fn open(&mut self) {
+        self.open = true;
+        self.accum.reset();
+        self.block_matched = 0;
+    }
 }
+
+/// The dynamic state of one call depth.
+#[derive(Debug, Default)]
+struct Frame {
+    block: Segment,
+    /// Flat slot of the open block.
+    block_slot: usize,
+    path: Segment,
+    /// Function of the open path.
+    path_func: Option<FuncId>,
+    /// Flat slot of the open path's head block.
+    path_slot: usize,
+    /// The open path's blocks; the first is its head.
+    path_blocks: Vec<BlockId>,
+    cyclic: Segment,
+    /// Index of the open loop invocation's loop.
+    loop_idx: usize,
+}
+
+/// A pure innermost loop, a cyclic-region candidate.
+#[derive(Debug)]
+struct Loop {
+    func: FuncId,
+    /// Body blocks, header included.
+    body: BlockSet,
+}
+
+/// Marks a flat slot whose block heads no candidate loop.
+const NO_LOOP: u32 = u32::MAX;
 
 /// The limit study, attached to an emulation as a [`TraceSink`].
 pub struct PotentialStudy {
     config: PotentialConfig,
-    loops: HashMap<LoopKey, LoopMeta>,
+    /// First flat slot of each function's blocks.
+    slot_base: Vec<usize>,
+    /// Per flat slot: index into `loops` of the loop the block heads,
+    /// or [`NO_LOOP`].
+    headers: Vec<u32>,
+    loops: Vec<Loop>,
     result: ReusePotential,
+    /// Keyed by the block's flat slot.
     block_history: History,
+    /// Keyed by the flat slot of the path's head block.
     path_history: History,
+    /// Keyed by loop index.
     loop_history: History,
-    loc_version: HashMap<(MemObjectId, u64), u64>,
-    // Per-depth dynamic state.
-    cur_block: HashMap<usize, (FuncId, BlockId, SigAccum)>,
-    cur_path: HashMap<usize, PathState>,
-    cur_loop: HashMap<usize, LoopState>,
+    /// Per-location store version, one array per object.
+    loc_version: Vec<Vec<u64>>,
+    /// Per-depth dynamic state.
+    frames: Vec<Frame>,
     depth: usize,
 }
 
@@ -225,102 +320,130 @@ impl PotentialStudy {
 
     /// Creates a study with explicit parameters.
     pub fn with_config(program: &Program, config: PotentialConfig) -> PotentialStudy {
+        let mut slot_base = Vec::with_capacity(program.functions().len());
+        let mut slots = 0;
+        for f in program.functions() {
+            slot_base.push(slots);
+            slots += f.blocks.len();
+        }
+        let mut headers = vec![NO_LOOP; slots];
+        let mut loops: Vec<Loop> = Vec::new();
+        for meta in candidate_loops(program).into_iter().filter(|m| !m.impure) {
+            let slot = slot_base[meta.key.func.index()] + meta.key.header.index();
+            let lp = Loop {
+                func: meta.key.func,
+                body: BlockSet::new(&meta.body),
+            };
+            // A later duplicate key replaces an earlier one.
+            match headers[slot] {
+                NO_LOOP => {
+                    headers[slot] = loops.len() as u32;
+                    loops.push(lp);
+                }
+                i => loops[i as usize] = lp,
+            }
+        }
         PotentialStudy {
             config,
-            loops: candidate_loops(program)
-                .into_iter()
-                .filter(|m| !m.impure)
-                .map(|m| (m.key, m))
-                .collect(),
+            slot_base,
+            headers,
             result: ReusePotential::default(),
-            block_history: History::new(config.history_depth),
-            path_history: History::new(config.history_depth),
-            loop_history: History::new(config.history_depth),
-            loc_version: HashMap::new(),
-            cur_block: HashMap::new(),
-            cur_path: HashMap::new(),
-            cur_loop: HashMap::new(),
+            block_history: History::new(slots, config.history_depth),
+            path_history: History::new(slots, config.history_depth),
+            loop_history: History::new(loops.len(), config.history_depth),
+            loops,
+            loc_version: program
+                .objects()
+                .iter()
+                .map(|o| vec![0; o.size()])
+                .collect(),
+            frames: Vec::new(),
             depth: 0,
         }
     }
 
     /// Finalizes open segments and returns the measured potential.
     pub fn finish(mut self) -> ReusePotential {
-        let depths: Vec<usize> = self.cur_block.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.frames.len() {
             self.close_block(d);
         }
-        let depths: Vec<usize> = self.cur_path.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.frames.len() {
             self.close_path(d);
         }
-        let depths: Vec<usize> = self.cur_loop.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.frames.len() {
             self.close_loop(d);
         }
         self.result
     }
 
+    fn slot(&self, func: FuncId, block: BlockId) -> usize {
+        self.slot_base[func.index()] + block.index()
+    }
+
     fn close_block(&mut self, depth: usize) {
-        if let Some((func, block, accum)) = self.cur_block.remove(&depth) {
-            if accum.instrs == 0 {
-                return;
-            }
-            let sig = accum.signature();
-            if self.block_history.check_and_record((func, block), sig) {
-                let n = accum.reusable_instrs();
-                self.result.block_reusable += n;
-                // Credit the enclosing region segment: if it misses,
-                // these instructions are still region-reusable as
-                // trivial single-block regions.
-                if let Some(lp) = self.cur_loop.get_mut(&depth) {
-                    lp.block_matched += n;
-                } else if let Some(p) = self.cur_path.get_mut(&depth) {
-                    p.block_matched += n;
-                }
+        let Some(frame) = self.frames.get_mut(depth) else {
+            return;
+        };
+        if !std::mem::take(&mut frame.block.open) || frame.block.accum.instrs == 0 {
+            return;
+        }
+        let accum = &frame.block.accum;
+        if self
+            .block_history
+            .check_and_record(frame.block_slot, accum.signature())
+        {
+            let n = accum.reusable_instrs();
+            self.result.block_reusable += n;
+            // Credit the enclosing region segment: if it misses,
+            // these instructions are still region-reusable as
+            // trivial single-block regions.
+            if frame.cyclic.open {
+                frame.cyclic.block_matched += n;
+            } else if frame.path.open {
+                frame.path.block_matched += n;
             }
         }
     }
 
     fn close_path(&mut self, depth: usize) {
-        if let Some(path) = self.cur_path.remove(&depth) {
-            if path.accum.instrs == 0 {
-                return;
-            }
-            // Path identity: head block plus the sequence of blocks.
-            let mut sig_vals: Vec<Value> = path
-                .blocks
-                .iter()
-                .map(|b| Value::from_int(i64::from(b.0)))
-                .collect();
-            sig_vals.push(Value::from_int(path.accum.signature() as i64));
-            let sig = hash_values(&sig_vals);
-            if self
-                .path_history
-                .check_and_record((path.func, path.head), sig)
-            {
-                self.result.region_reusable += path.accum.reusable_instrs();
-            } else {
-                self.result.region_reusable += path.block_matched;
-            }
+        let Some(frame) = self.frames.get_mut(depth) else {
+            return;
+        };
+        if !std::mem::take(&mut frame.path.open) || frame.path.accum.instrs == 0 {
+            return;
+        }
+        // Path identity: head block plus the sequence of blocks.
+        let mut h = ValueHasher::new();
+        for b in &frame.path_blocks {
+            h.push(u64::from(b.0));
+        }
+        h.push(frame.path.accum.signature());
+        if self
+            .path_history
+            .check_and_record(frame.path_slot, h.finish())
+        {
+            self.result.region_reusable += frame.path.accum.reusable_instrs();
+        } else {
+            self.result.region_reusable += frame.path.block_matched;
         }
     }
 
     fn close_loop(&mut self, depth: usize) {
-        if let Some(lp) = self.cur_loop.remove(&depth) {
-            if lp.accum.instrs == 0 {
-                return;
-            }
-            let sig = lp.accum.signature();
-            if self
-                .loop_history
-                .check_and_record((lp.key.func, lp.key.header), sig)
-            {
-                self.result.region_reusable += lp.accum.reusable_instrs();
-                self.result.cyclic_reusable += lp.accum.reusable_instrs();
-            } else {
-                self.result.region_reusable += lp.block_matched;
-            }
+        let Some(frame) = self.frames.get_mut(depth) else {
+            return;
+        };
+        if !std::mem::take(&mut frame.cyclic.open) || frame.cyclic.accum.instrs == 0 {
+            return;
+        }
+        let accum = &frame.cyclic.accum;
+        if self
+            .loop_history
+            .check_and_record(frame.loop_idx, accum.signature())
+        {
+            self.result.region_reusable += accum.reusable_instrs();
+            self.result.cyclic_reusable += accum.reusable_instrs();
+        } else {
+            self.result.region_reusable += frame.cyclic.block_matched;
         }
     }
 }
@@ -330,67 +453,50 @@ impl TraceSink for PotentialStudy {
         let depth = self.depth;
         // Block segment: close previous, open new.
         self.close_block(depth);
-        self.cur_block
-            .insert(depth, (func, block, SigAccum::default()));
+        let slot = self.slot(func, block);
+        if self.frames.len() <= depth {
+            self.frames.resize_with(depth + 1, Frame::default);
+        }
+        let frame = &mut self.frames[depth];
+        frame.block.open();
+        frame.block_slot = slot;
 
         // Cyclic regions take precedence over paths.
-        let key = LoopKey {
-            func,
-            header: block,
-        };
-        let in_active_loop = self.cur_loop.get(&depth).is_some_and(|l| {
-            self.loops
-                .get(&l.key)
-                .is_some_and(|m| m.body.contains(&block) && func == l.key.func)
-        });
-        if let Some(active) = self.cur_loop.get(&depth) {
-            if active.key == key {
-                // Next iteration: keep accumulating.
+        if frame.cyclic.open {
+            let active = &self.loops[frame.loop_idx];
+            if active.func == func && active.body.contains(block) {
+                // Next iteration (the body holds the header), or still
+                // inside the active loop body: keep accumulating.
                 return;
             }
-            if !in_active_loop {
-                self.close_loop(depth);
-            } else {
-                return; // still inside the active loop body
-            }
+            self.close_loop(depth);
         }
-        if self.loops.contains_key(&key) {
+        let header = self.headers[slot];
+        if header != NO_LOOP {
             // Starting a new pure-loop invocation: paths pause.
             self.close_path(depth);
-            self.cur_loop.insert(
-                depth,
-                LoopState {
-                    key,
-                    accum: SigAccum::default(),
-                    block_matched: 0,
-                },
-            );
+            let frame = &mut self.frames[depth];
+            frame.cyclic.open();
+            frame.loop_idx = header as usize;
             return;
         }
 
         // Path segment: extend or rotate.
-        let rotate = match self.cur_path.get(&depth) {
-            None => true,
-            Some(p) => {
-                p.func != func
-                    || p.blocks.len() >= self.config.max_path_blocks
-                    || p.blocks.contains(&block)
-            }
-        };
+        let frame = &self.frames[depth];
+        let rotate = !frame.path.open
+            || frame.path_func != Some(func)
+            || frame.path_blocks.len() >= self.config.max_path_blocks
+            || frame.path_blocks.contains(&block);
         if rotate {
             self.close_path(depth);
-            self.cur_path.insert(
-                depth,
-                PathState {
-                    func,
-                    head: block,
-                    blocks: vec![block],
-                    accum: SigAccum::default(),
-                    block_matched: 0,
-                },
-            );
-        } else if let Some(p) = self.cur_path.get_mut(&depth) {
-            p.blocks.push(block);
+            let frame = &mut self.frames[depth];
+            frame.path.open();
+            frame.path_func = Some(func);
+            frame.path_slot = slot;
+            frame.path_blocks.clear();
+            frame.path_blocks.push(block);
+        } else {
+            self.frames[depth].path_blocks.push(block);
         }
     }
 
@@ -413,20 +519,29 @@ impl TraceSink for PotentialStudy {
 
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
         self.result.total_instrs += 1;
-        let depth = self.depth;
-        if let Some((_, _, accum)) = self.cur_block.get_mut(&depth) {
-            accum.observe(event, &self.loc_version);
-        }
-        if let Some(lp) = self.cur_loop.get_mut(&depth) {
-            lp.accum.observe(event, &self.loc_version);
-        } else if let Some(p) = self.cur_path.get_mut(&depth) {
-            p.accum.observe(event, &self.loc_version);
+        if let Some(frame) = self.frames.get_mut(self.depth) {
+            if frame.block.open {
+                frame.block.accum.observe(event, &self.loc_version);
+            }
+            if frame.cyclic.open {
+                frame.cyclic.accum.observe(event, &self.loc_version);
+            } else if frame.path.open {
+                frame.path.accum.observe(event, &self.loc_version);
+            }
         }
         // Stores bump versions *after* the signature observation so a
         // load earlier in the same segment keeps its pre-store stamp.
         if let Some(mem) = event.mem {
             if mem.is_store {
-                *self.loc_version.entry((mem.object, mem.index)).or_insert(0) += 1;
+                let (obj, slot) = (mem.object.index(), mem.index as usize);
+                if self.loc_version.len() <= obj {
+                    self.loc_version.resize(obj + 1, Vec::new());
+                }
+                let versions = &mut self.loc_version[obj];
+                if versions.len() <= slot {
+                    versions.resize(slot + 1, 0);
+                }
+                versions[slot] += 1;
             }
         }
     }
@@ -560,8 +675,9 @@ mod tests {
         );
     }
 
-    /// A deeper history can only find more reuse; depth 8 (the
-    /// paper's) dominates depth 1 on an alternating pattern.
+    /// A deeper history can only find more reuse, from depth 0 (no
+    /// history) up; depth 8 (the paper's) dominates depth 1 on an
+    /// alternating pattern.
     #[test]
     fn history_depth_monotonicity() {
         // A helper is called with arguments alternating A, B, A, B:
@@ -607,8 +723,21 @@ mod tests {
             Emulator::new(&p).run(&mut NullCrb, &mut study).unwrap();
             study.finish()
         };
-        let shallow = run(1);
-        let deep = run(8);
+        let runs: Vec<ReusePotential> = (0..=8).map(run).collect();
+        // Depth 0 keeps no history: nothing is ever reusable.
+        assert_eq!(runs[0].block_reusable, 0, "{:?}", runs[0]);
+        assert_eq!(runs[0].region_reusable, 0, "{:?}", runs[0]);
+        for (d, pair) in runs.windows(2).enumerate() {
+            assert!(
+                pair[1].block_reusable >= pair[0].block_reusable
+                    && pair[1].region_reusable >= pair[0].region_reusable,
+                "depth {} found less reuse than depth {d}: {:?} < {:?}",
+                d + 1,
+                pair[1],
+                pair[0]
+            );
+        }
+        let (shallow, deep) = (runs[1], runs[8]);
         assert!(
             deep.region_reusable > shallow.region_reusable,
             "8-deep {} must beat 1-deep {}",
@@ -616,6 +745,40 @@ mod tests {
             shallow.region_reusable
         );
         assert!(deep.block_reusable > shallow.block_reusable);
+    }
+
+    #[test]
+    fn streamed_signatures_equal_hash_values() {
+        let acc = SigAccum {
+            inputs: vec![(Reg(3), Value(-7)), (Reg(0), Value(i64::MAX))],
+            loads: vec![(MemObjectId(2), 5, 1), (MemObjectId(0), u64::MAX, 0)],
+            ..SigAccum::default()
+        };
+        let flat: Vec<Value> = [3, -7, 0, i64::MAX, 2, 5, 1, 0, -1, 0]
+            .into_iter()
+            .map(Value)
+            .collect();
+        assert_eq!(acc.signature(), crate::rps::hash_values(&flat));
+        assert_eq!(
+            SigAccum::default().signature(),
+            crate::rps::hash_values(&[])
+        );
+    }
+
+    #[test]
+    fn history_ring_evicts_the_oldest_record() {
+        let mut h = History::new(2, 3);
+        for sig in [1, 2, 3] {
+            assert!(!h.check_and_record(1, sig));
+        }
+        assert!(h.check_and_record(1, 1), "1 is still held");
+        // Recording 1 again evicted the original 1; 2 is now oldest.
+        assert!(!h.check_and_record(1, 4));
+        assert!(!h.check_and_record(1, 2), "2 was evicted by 4");
+        assert!(!h.check_and_record(0, 1), "slots are independent");
+        let mut none = History::new(2, 0);
+        assert!(!none.check_and_record(0, 9));
+        assert!(!none.check_and_record(0, 9), "depth 0 never hits");
     }
 
     /// Stores to the scanned table between invocations destroy

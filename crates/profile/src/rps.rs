@@ -367,12 +367,32 @@ struct LiveMem {
     last_seen_version: MixMap<(MemObjectId, u64), u64>,
 }
 
+/// A set of blocks of one function, as a bitset over block indices.
+#[derive(Debug)]
+pub(crate) struct BlockSet(Vec<u64>);
+
+impl BlockSet {
+    pub(crate) fn new(blocks: &BTreeSet<BlockId>) -> BlockSet {
+        let words = blocks.last().map_or(0, |b| b.index() / 64 + 1);
+        let mut bits = vec![0u64; words];
+        for b in blocks {
+            bits[b.index() / 64] |= 1 << (b.index() % 64);
+        }
+        BlockSet(bits)
+    }
+
+    pub(crate) fn contains(&self, block: BlockId) -> bool {
+        self.0
+            .get(block.index() / 64)
+            .is_some_and(|w| w >> (block.index() % 64) & 1 == 1)
+    }
+}
+
 /// A candidate loop's static tables and its counters while the run is
 /// in progress.
 struct LiveLoop {
     meta: LoopMeta,
-    /// Body blocks as a bitset over block indices.
-    body: Vec<u64>,
+    body: BlockSet,
     profile: CyclicProfile,
     /// Signatures and loop-memory versions of the most recent
     /// invocations.
@@ -381,23 +401,16 @@ struct LiveLoop {
 
 impl LiveLoop {
     fn new(meta: LoopMeta) -> LiveLoop {
-        let words = meta.body.last().map_or(0, |b| b.index() / 64 + 1);
-        let mut body = vec![0u64; words];
-        for b in &meta.body {
-            body[b.index() / 64] |= 1 << (b.index() % 64);
-        }
         LiveLoop {
+            body: BlockSet::new(&meta.body),
             meta,
-            body,
             profile: CyclicProfile::default(),
             history: VecDeque::with_capacity(CYCLIC_HISTORY),
         }
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.body
-            .get(block.index() / 64)
-            .is_some_and(|w| w >> (block.index() % 64) & 1 == 1)
+        self.body.contains(block)
     }
 }
 
@@ -691,13 +704,33 @@ impl TraceSink for ValueProfiler {
 
 /// Hashes a value slice with an FNV-1a-style mix (stable across runs).
 pub fn hash_values(values: &[Value]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = ValueHasher::new();
     for v in values {
-        h ^= v.0 as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-        h ^= h >> 29;
+        h.push(v.0 as u64);
     }
-    h
+    h.finish()
+}
+
+/// The mix of [`hash_values`], fed one word at a time: pushing the
+/// words `v.0 as u64` of a slice yields exactly `hash_values(slice)`,
+/// without collecting the slice first.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ValueHasher(u64);
+
+impl ValueHasher {
+    pub(crate) fn new() -> ValueHasher {
+        ValueHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn push(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        self.0 ^= self.0 >> 29;
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 fn hash_reg_values(pairs: &[(Reg, Value)]) -> u64 {

@@ -13,7 +13,7 @@ pub enum ComputationClass {
 }
 
 /// Shape of a region in the CFG.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum RegionShape {
     /// A whole natural loop, reused per invocation.
     Cyclic {
@@ -53,7 +53,7 @@ pub enum RegionShape {
 }
 
 /// A region selected by formation, before code transformation.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RegionSpec {
     /// Function containing the region.
     pub func: FuncId,

@@ -141,7 +141,26 @@ impl MachineConfig {
         ]);
         out
     }
+
+    /// The fields a baseline simulation reads: [`MachineConfig::fields`]
+    /// minus `reuse_hit_latency`, `reuse_miss_penalty` and
+    /// `speculative_validation`. The pipeline reads those three only on
+    /// `reuse` events, and a baseline program has no `reuse`
+    /// instructions, so two machines with equal baseline fields give
+    /// identical baseline statistics.
+    pub fn baseline_fields(&self) -> Vec<(&'static str, String)> {
+        let mut out = self.fields();
+        out.retain(|(name, _)| !REUSE_ONLY_FIELDS.contains(name));
+        out
+    }
 }
+
+/// The [`MachineConfig`] fields only reuse events read.
+const REUSE_ONLY_FIELDS: [&str; 3] = [
+    "reuse_hit_latency",
+    "reuse_miss_penalty",
+    "speculative_validation",
+];
 
 #[cfg(test)]
 mod tests {
@@ -180,6 +199,36 @@ mod tests {
             ..MachineConfig::paper()
         };
         assert_ne!(fields, wide.fields());
+    }
+
+    #[test]
+    fn baseline_fields_drop_exactly_the_reuse_only_fields() {
+        let m = MachineConfig::paper();
+        let all = m.fields();
+        let base = m.baseline_fields();
+        assert_eq!(base.len(), 17);
+        // Every dropped field is reuse-only, in `fields()` order.
+        let dropped: Vec<&str> = all
+            .iter()
+            .map(|(n, _)| *n)
+            .filter(|n| !base.iter().any(|(b, _)| b == n))
+            .collect();
+        assert_eq!(dropped, REUSE_ONLY_FIELDS);
+        // The reuse-only knobs do not reach the baseline key...
+        let reuse_knobs = MachineConfig {
+            reuse_hit_latency: m.reuse_hit_latency + 3,
+            reuse_miss_penalty: m.reuse_miss_penalty + 5,
+            speculative_validation: !m.speculative_validation,
+            ..m
+        };
+        assert_ne!(all, reuse_knobs.fields());
+        assert_eq!(base, reuse_knobs.baseline_fields());
+        // ...and every other field does.
+        let wide = MachineConfig {
+            issue_width: 8,
+            ..m
+        };
+        assert_ne!(base, wide.baseline_fields());
     }
 
     #[test]

@@ -322,11 +322,17 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.entries = take("--entries")?
                     .parse()
                     .map_err(|_| "bad --entries value".to_string())?;
+                if flags.entries == 0 {
+                    return Err("--entries must be at least 1".to_string());
+                }
             }
             "--instances" => {
                 flags.instances = take("--instances")?
                     .parse()
                     .map_err(|_| "bad --instances value".to_string())?;
+                if flags.instances == 0 {
+                    return Err("--instances must be at least 1".to_string());
+                }
             }
             "--function-level" => flags.function_level = true,
             "--annotated" => flags.annotated = true,

@@ -639,18 +639,18 @@ fn parse_submission(v: &Value) -> Result<Submission, String> {
                 None => InputSet::Train,
             };
             let paper = CrbConfig::paper();
+            // A zero-sized buffer has nowhere to put a region.
+            let at_least_one =
+                |field: &str, default: usize| match v.get(field).and_then(Value::as_u64) {
+                    Some(0) => Err(format!("`{field}` must be at least 1")),
+                    n => Ok(n.map_or(default, |n| n as usize)),
+                };
             Ok(Submission::Point {
                 workload: known,
                 input,
                 scale: v.get("scale").and_then(Value::as_u64).unwrap_or(1) as u32,
-                entries: v
-                    .get("entries")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(paper.entries as u64) as usize,
-                instances: v
-                    .get("instances")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(paper.instances as u64) as usize,
+                entries: at_least_one("entries", paper.entries)?,
+                instances: at_least_one("instances", paper.instances)?,
             })
         }
     }

@@ -531,6 +531,25 @@ fn report_imports_renders_and_preflights_the_store() {
 }
 
 #[test]
+fn zero_sized_crb_flags_are_rejected_not_panics() {
+    for cmd in ["run", "bench", "suite", "fingerprint", "snapshot", "submit"] {
+        for flag in ["--entries", "--instances"] {
+            let out = ccr()
+                .args([cmd, "124.m88ksim", flag, "0"])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag} 0");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(
+                stderr.starts_with(&format!("error: {flag} must be at least 1\n")),
+                "{cmd} {flag} 0: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{cmd} {flag} 0: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn bad_arguments_fail_with_usage() {
     let out = ccr().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());

@@ -347,6 +347,11 @@ fn registry_plan_profiles_each_training_build_once() {
     assert_eq!(executed.profile_cache_stats(), (104, 13));
     assert_eq!(engine.compile_cache().profile_misses(), 13);
     assert_eq!(engine.compile_cache().profile_hits(), 104);
+    // Every compile asks for a reiteration trial, but only 75 are
+    // distinct: a reference-input compile shares its training twin's
+    // trial, and region configs that form identical specs share one.
+    assert_eq!(engine.compile_cache().trial_misses(), 75);
+    assert_eq!(engine.compile_cache().trial_hits(), 42);
 }
 
 #[test]
@@ -413,12 +418,18 @@ fn profile_stage_errors_are_never_cached() {
     assert_eq!(cache.hits(), 0);
 }
 
+/// Two workloads in debug builds; every workload in release builds.
 #[test]
 fn cache_served_compiles_equal_direct_compiles() {
     let configs = registry_compile_configs();
     assert_eq!(configs.len(), 9, "nine compile keys per workload");
+    let names: Vec<&str> = if cfg!(debug_assertions) {
+        vec!["bitcount", "129.compress"]
+    } else {
+        ccr::workloads::NAMES.to_vec()
+    };
     let cache = ccr_bench::CompileCache::new();
-    for name in ["bitcount", "129.compress"] {
+    for &name in &names {
         for (input, config) in &configs {
             let cached = cache
                 .get_or_compile(name, *input, 1, config)
@@ -438,8 +449,30 @@ fn cache_served_compiles_equal_direct_compiles() {
                 "{name} formation stats"
             );
             assert_eq!(*cached.profile, *direct.profile, "{name} profile");
+            // The optimizer ran the same passes with the same effect
+            // (wall time aside), whether or not the target build was
+            // optimized separately from the training build.
+            let shape = |cw: &ccr::CompiledWorkload| -> Vec<_> {
+                cw.telemetry
+                    .passes
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.pass,
+                            r.changes,
+                            r.instrs_before,
+                            r.instrs_after,
+                            r.blocks_before,
+                            r.blocks_after,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(shape(&cached), shape(&direct), "{name} pass records");
         }
     }
-    assert_eq!(cache.profile_misses(), 2);
-    assert_eq!(cache.profile_hits(), 16);
+    let n = names.len() as u64;
+    assert_eq!(cache.profile_misses(), n);
+    assert_eq!(cache.profile_hits(), 8 * n);
+    assert_eq!(cache.trial_hits() + cache.trial_misses(), 9 * n);
 }

@@ -11,8 +11,8 @@
 //!    without changing any rendered number.
 
 use ccr::regions::RegionConfig;
-use ccr::sim::{CrbConfig, MachineConfig};
-use ccr::workloads::InputSet;
+use ccr::sim::{simulate_baseline, CrbConfig, MachineConfig};
+use ccr::workloads::{build, InputSet, NAMES};
 use ccr_bench::exp::{self, specs};
 
 fn render(name: &str) -> String {
@@ -76,6 +76,55 @@ fn planner_dedupes_across_the_fig8_family() {
     assert_eq!(stats.unique_sims, 13 * (1 + 5));
     assert_eq!(stats.deduped_sims, 2 * 91 - 13 * 6);
     assert!(stats.deduped_sims > 0);
+}
+
+#[test]
+fn registry_plan_counts_are_pinned() {
+    let registry = specs::registry();
+    let selected: Vec<&exp::ExperimentSpec> = registry.iter().collect();
+    let stats = exp::plan(&selected).stats;
+    assert_eq!(stats.requested_points, 455);
+    assert_eq!(stats.unique_compiles, 117);
+    // 65 baselines (keyed on the machine fields a baseline reads) and
+    // 286 CCR points.
+    assert_eq!(stats.unique_sims, 351);
+    assert_eq!(stats.deduped_sims, 559);
+    assert_eq!(stats.potential_points, 13);
+}
+
+/// The premise of the baseline key: a baseline program has no `reuse`
+/// instructions, so the three reuse-only machine fields never change
+/// its simulation.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn baseline_sims_ignore_the_reuse_only_machine_fields() {
+    let paper = MachineConfig::paper();
+    let variants = [
+        MachineConfig {
+            reuse_hit_latency: paper.reuse_hit_latency + 4,
+            ..paper
+        },
+        MachineConfig {
+            reuse_miss_penalty: paper.reuse_miss_penalty * 3,
+            ..paper
+        },
+        MachineConfig {
+            speculative_validation: !paper.speculative_validation,
+            ..paper
+        },
+    ];
+    let emu = ccr_bench::emu_config();
+    for name in NAMES {
+        let mut program = build(name, InputSet::Train, 1).expect("known workload");
+        ccr::opt::optimize(&mut program, ccr::opt::OptConfig::default());
+        let reference = simulate_baseline(&program, &paper, emu).expect("within limits");
+        for machine in &variants {
+            assert_eq!(machine.baseline_fields(), paper.baseline_fields());
+            let outcome = simulate_baseline(&program, machine, emu).expect("within limits");
+            assert_eq!(outcome.run, reference.run, "{name}");
+            assert_eq!(outcome.stats, reference.stats, "{name} under {machine:?}");
+        }
+    }
 }
 
 static TINY_WORKLOADS: [&str; 1] = ["bitcount"];

@@ -169,6 +169,14 @@ fn protocol_errors_are_one_line_replies_not_dropped_connections() {
             r#"{"req_v":1,"op":"results","id":424242}"#,
             "unknown request id 424242",
         ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"124.m88ksim","instances":0}"#,
+            "`instances` must be at least 1",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"124.m88ksim","entries":0}"#,
+            "`entries` must be at least 1",
+        ),
     ];
     for (request, expected) in cases {
         let err = client.roundtrip(request).unwrap_err();
