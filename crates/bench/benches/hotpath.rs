@@ -2,12 +2,16 @@
 //! host-performance work in DESIGN.md §9 targets: CRB instance
 //! scanning (fingerprint pre-filter on vs off), ghost scanning, the
 //! pipeline's register ready-tracking, and the per-layer cost of one
-//! workload (bare emulation, emulation plus the timing pipeline, and
+//! workload (bare emulation, emulation under the value profiler,
+//! emulation plus the timing pipeline with and without the CRB, and
 //! emulation under the Figure 4 reuse-potential study).
 
 use ccr_ir::{Reg, RegionId, Value};
-use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, PotentialStudy, RecordedInstance};
-use ccr_sim::{simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
+use ccr_profile::{
+    CrbModel, Emulator, NullCrb, NullSink, PotentialStudy, RecordedInstance, ValueProfiler,
+};
+use ccr_regions::RegionConfig;
+use ccr_sim::{simulate, simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -187,9 +191,9 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
 fn bench_sim_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_layers");
     g.sample_size(10);
-    // One workload through three stacks: the interpreter alone (no
-    // CRB, no timing), then the same instruction stream driving the
-    // timing pipeline, then the limit study. The gap between the bare
+    // One workload through five stacks: the interpreter alone (no
+    // CRB, no timing), the value profiler, the timing pipeline without
+    // and with the CRB, then the limit study. The gap between the bare
     // run and each of the others is that layer's host cost.
     let program = build("124.m88ksim", InputSet::Train, 1).unwrap();
     g.bench_function("emulate_bare_m88ksim", |b| {
@@ -199,10 +203,36 @@ fn bench_sim_layers(c: &mut Criterion) {
             black_box(out.dyn_instrs);
         });
     });
+    // The compile's profile stage (what `profile.value_profile_ms`
+    // measures per workload).
+    g.bench_function("value_profile_m88ksim", |b| {
+        let emulator = Emulator::with_config(&program, ccr_bench::emu_config());
+        b.iter(|| {
+            let mut profiler = ValueProfiler::for_program(&program);
+            emulator.run(&mut NullCrb, &mut profiler).unwrap();
+            black_box(profiler.finish());
+        });
+    });
     g.bench_function("simulate_baseline_m88ksim", |b| {
         b.iter(|| {
             let out = simulate_baseline(&program, &MachineConfig::paper(), ccr_bench::emu_config())
                 .unwrap();
+            black_box(out.stats.cycles);
+        });
+    });
+    // The annotated build on the paper's CRB (what `sim.ccr_ms`
+    // measures per workload).
+    let compiled =
+        ccr_bench::compile_benchmark("124.m88ksim", InputSet::Train, 1, &RegionConfig::paper());
+    g.bench_function("simulate_ccr_m88ksim", |b| {
+        b.iter(|| {
+            let out = simulate(
+                &compiled.annotated,
+                &MachineConfig::paper(),
+                Some(CrbConfig::paper()),
+                ccr_bench::emu_config(),
+            )
+            .unwrap();
             black_box(out.stats.cycles);
         });
     });

@@ -95,6 +95,7 @@ pub enum BinKind {
 
 impl BinKind {
     /// True for the floating-point kinds (issue on the FP ALUs).
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(
             self,
@@ -155,6 +156,7 @@ impl UnKind {
     }
 
     /// True for the floating-point conversion kinds.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, UnKind::IntToFloat | UnKind::FloatToInt)
     }
@@ -179,6 +181,7 @@ pub enum CmpPred {
 
 impl CmpPred {
     /// Evaluates the predicate on two signed integers.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> bool {
         match self {
             CmpPred::Eq => a == b,
@@ -254,6 +257,7 @@ impl InstrExt {
     }
 
     /// True if every bit of `other` is present in `self`.
+    #[inline]
     pub fn contains(self, other: InstrExt) -> bool {
         self.0 & other.0 == other.0
     }
@@ -462,6 +466,7 @@ impl Instr {
     }
 
     /// The destination register written by this instruction, if any.
+    #[inline]
     pub fn dst(&self) -> Option<Reg> {
         match &self.op {
             Op::Binary { dst, .. } | Op::Unary { dst, .. } | Op::Cmp { dst, .. } => Some(*dst),
@@ -480,6 +485,7 @@ impl Instr {
 
     /// Calls `f` on each destination register, in [`Instr::dsts`]
     /// order, without allocating.
+    #[inline]
     pub fn for_each_dst(&self, f: impl FnMut(Reg)) {
         match &self.op {
             Op::Call { rets, .. } => rets.iter().copied().for_each(f),
@@ -503,6 +509,7 @@ impl Instr {
 
     /// Calls `f` on each source operand, in [`Instr::src_operands`]
     /// order, without allocating.
+    #[inline]
     pub fn for_each_src_operand(&self, mut f: impl FnMut(Operand)) {
         match &self.op {
             Op::Binary { lhs, rhs, .. }
@@ -533,6 +540,7 @@ impl Instr {
 
     /// Calls `f` on each source register, in [`Instr::src_regs`]
     /// order, without allocating.
+    #[inline]
     pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
         self.for_each_src_operand(|op| {
             if let Operand::Reg(r) = op {
@@ -581,6 +589,7 @@ impl Instr {
     }
 
     /// The functional-unit class of this instruction.
+    #[inline]
     pub fn class(&self) -> OpClass {
         match &self.op {
             Op::Binary { kind, .. } => {
@@ -617,6 +626,7 @@ impl Instr {
     }
 
     /// True if the instruction may write memory.
+    #[inline]
     pub fn is_store(&self) -> bool {
         matches!(self.op, Op::Store { .. })
     }

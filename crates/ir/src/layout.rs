@@ -67,6 +67,7 @@ impl CodeLayout {
     ///
     /// Panics if the instruction was not part of the laid-out program
     /// (e.g. the layout is stale after a transformation).
+    #[inline]
     pub fn code_addr(&self, id: InstrId) -> u64 {
         match self.code_addr.get(id.index()) {
             Some(&addr) if addr != NO_ADDR => addr,
@@ -75,6 +76,7 @@ impl CodeLayout {
     }
 
     /// The data address of `object[index]`.
+    #[inline]
     pub fn data_addr(&self, object: MemObjectId, index: u64) -> u64 {
         self.object_base[object.index()] + index * ELEM_BYTES
     }

@@ -235,6 +235,18 @@ fn parse_object(t: &str, line: usize) -> Result<MemObject> {
         line,
         message: "object missing size=".into(),
     })?;
+    if size == 0 {
+        return err(line, format!("object {id} has size 0"));
+    }
+    if init.len() > size {
+        return err(
+            line,
+            format!(
+                "object {id} has {} initializers for size {size}",
+                init.len()
+            ),
+        );
+    }
     Ok(MemObject::new(id, name, kind, size, init))
 }
 
@@ -669,6 +681,36 @@ mod tests {
         );
         assert_eq!(q.object(MemObjectId(0)).kind(), ObjectKind::ReadOnly);
         assert_eq!(q.object(MemObjectId(1)).kind(), ObjectKind::Named);
+    }
+
+    /// A one-object program around `object_line`, for object errors.
+    fn with_object(object_line: &str) -> String {
+        format!(
+            "program main=f0\n{object_line}\nfunc f0 \"m\" (params=0, rets=0):\n  b0 (entry):\n    i0  ret \n"
+        )
+    }
+
+    #[test]
+    fn zero_sized_object_is_an_error() {
+        let e =
+            parse_program(&with_object("object @0 \"o\" kind=Named size=0 init=[]")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("size 0"), "{e}");
+    }
+
+    #[test]
+    fn initializer_longer_than_the_object_is_an_error() {
+        let e = parse_program(&with_object(
+            "object @0 \"o\" kind=Named size=2 init=[10, 20, 30, 40]",
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("4 initializers for size 2"), "{e}");
+        // A full-length initializer is fine.
+        parse_program(&with_object(
+            "object @0 \"o\" kind=Named size=2 init=[10, 20]",
+        ))
+        .unwrap();
     }
 
     #[test]

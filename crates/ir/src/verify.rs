@@ -75,6 +75,15 @@ pub fn verify_program(program: &Program) -> Result<(), VerifyError> {
             "entry function must take no parameters",
         ));
     }
+    // The emulator masks every address into its object's bounds, which
+    // an empty object does not have.
+    if let Some(obj) = program.objects().iter().find(|o| o.size() == 0) {
+        return Err(VerifyError::new(
+            None,
+            None,
+            format!("object {} \"{}\" has size 0", obj.id(), obj.name()),
+        ));
+    }
     for func in program.functions() {
         verify_function(program, func)?;
     }
@@ -523,6 +532,18 @@ mod tests {
         let id = pb.finish_function(f);
         pb.set_main(id);
         verify_program(&pb.finish()).unwrap();
+    }
+
+    #[test]
+    fn rejects_zero_sized_object() {
+        let mut pb = ProgramBuilder::new();
+        pb.object("empty", 0);
+        let mut f = pb.function("main", 0, 0);
+        f.ret(&[]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let e = verify_program(&pb.finish()).unwrap_err();
+        assert_eq!(e.to_string(), "object @0 \"empty\" has size 0");
     }
 
     #[test]

@@ -134,6 +134,10 @@ struct Frame<'p> {
     func: FuncId,
     regs: Vec<Value>,
     block: BlockId,
+    /// The instructions of `block`, so a step indexes one slice
+    /// instead of walking program → function → block. Derived from
+    /// `func`/`block`: never part of a snapshot.
+    code: &'p [Instr],
     pos: usize,
     /// Caller registers receiving the return values — borrowed from
     /// the call instruction in the program, so pushing a frame never
@@ -188,14 +192,18 @@ impl<'p> Emulator<'p> {
 
     /// Runs the program from its entry function to completion.
     ///
+    /// Generic over the buffer and the sink, so concrete types compile
+    /// into one loop with [`EmuRun::step`] inlined; `&mut dyn` callers
+    /// work unchanged.
+    ///
     /// # Errors
     ///
     /// Returns [`EmuError`] if a configured limit is exceeded.
-    pub fn run(
-        &self,
-        crb: &mut dyn CrbModel,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunOutcome, EmuError> {
+    pub fn run<C, S>(&self, crb: &mut C, sink: &mut S) -> Result<RunOutcome, EmuError>
+    where
+        C: CrbModel + ?Sized,
+        S: TraceSink + ?Sized,
+    {
         let mut run = self.start(sink);
         loop {
             if let Some(out) = run.step(crb, sink)? {
@@ -207,7 +215,7 @@ impl<'p> Emulator<'p> {
     /// Begins a resumable run: builds the initial architectural state
     /// and reports entry of `main` to the sink. Drive the returned
     /// [`EmuRun`] with [`EmuRun::step`].
-    pub fn start(&self, sink: &mut dyn TraceSink) -> EmuRun<'p> {
+    pub fn start<S: TraceSink + ?Sized>(&self, sink: &mut S) -> EmuRun<'p> {
         let program = self.program;
         let memory: Vec<Vec<Value>> = program
             .objects()
@@ -219,6 +227,7 @@ impl<'p> Emulator<'p> {
             func: main.id(),
             regs: vec![Value::ZERO; main.reg_limit().max(1) as usize],
             block: main.entry(),
+            code: &main.block(main.entry()).instrs,
             pos: 0,
             ret_regs: &[],
         }];
@@ -322,6 +331,7 @@ impl<'p> Emulator<'p> {
                 func: FuncId(fs.func),
                 regs: fs.regs.iter().map(|w| Value(*w as i64)).collect(),
                 block: BlockId(fs.block),
+                code: &block.instrs,
                 pos: fs.pos as usize,
                 ret_regs,
             });
@@ -507,11 +517,12 @@ impl<'p> EmuRun<'p> {
     /// # Panics
     ///
     /// Panics if called again after the program has returned.
-    pub fn step(
-        &mut self,
-        crb: &mut dyn CrbModel,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Option<RunOutcome>, EmuError> {
+    #[inline(always)]
+    pub fn step<C, S>(&mut self, crb: &mut C, sink: &mut S) -> Result<Option<RunOutcome>, EmuError>
+    where
+        C: CrbModel + ?Sized,
+        S: TraceSink + ?Sized,
+    {
         let program = self.program;
         assert!(!self.stack.is_empty(), "step after the program returned");
         if self.dyn_instrs >= self.config.max_instrs {
@@ -519,15 +530,30 @@ impl<'p> EmuRun<'p> {
         }
         let depth = self.stack.len() - 1;
         let frame = self.stack.last_mut().expect("non-empty stack");
-        let func = program.function(frame.func);
-        let block = func.block(frame.block);
-        let instr: &Instr = &block.instrs[frame.pos];
+        let instr: &'p Instr = &frame.code[frame.pos];
         self.dyn_instrs += 1;
 
-        // Gather input values.
-        self.inputs_buf.clear();
-        let inputs = &mut self.inputs_buf;
-        instr.for_each_src_operand(|op| inputs.push(read_operand(&frame.regs, op)));
+        // Gather input values. Every op but `Call`/`Ret` reads at most
+        // two operands, kept on the stack; call arguments and returned
+        // values go to `inputs_buf`, which the transfer below reads.
+        let mut ops = [Value::ZERO; 2];
+        let mut n_ops = 0;
+        let wide = match &instr.op {
+            Op::Call { args: list, .. } | Op::Ret { values: list } => {
+                self.inputs_buf.clear();
+                let regs = &frame.regs;
+                self.inputs_buf
+                    .extend(list.iter().map(|op| read_operand(regs, *op)));
+                true
+            }
+            _ => {
+                instr.for_each_src_operand(|op| {
+                    ops[n_ops] = read_operand(&frame.regs, op);
+                    n_ops += 1;
+                });
+                false
+            }
+        };
 
         // Memoization: record inputs (used-before-defined in the
         // anchor frame) before the instruction executes. Deeper
@@ -580,19 +606,17 @@ impl<'p> EmuRun<'p> {
 
         match &instr.op {
             Op::Binary { kind, dst, .. } => {
-                let v = eval_binary(*kind, self.inputs_buf[0], self.inputs_buf[1]);
+                let v = eval_binary(*kind, ops[0], ops[1]);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
             Op::Unary { kind, dst, .. } => {
-                let v = eval_unary(*kind, self.inputs_buf[0]);
+                let v = eval_unary(*kind, ops[0]);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
             Op::Cmp { pred, dst, .. } => {
-                let v = Value::from_int(
-                    pred.eval(self.inputs_buf[0].as_int(), self.inputs_buf[1].as_int()) as i64,
-                );
+                let v = Value::from_int(pred.eval(ops[0].as_int(), ops[1].as_int()) as i64);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
@@ -603,10 +627,7 @@ impl<'p> EmuRun<'p> {
                 ..
             } => {
                 let data = &self.memory[object.index()];
-                let idx = mask_index(
-                    self.inputs_buf[0].as_int().wrapping_add(*offset),
-                    data.len(),
-                );
+                let idx = mask_index(ops[0].as_int().wrapping_add(*offset), data.len());
                 let v = data[idx as usize];
                 frame.regs[dst.index()] = v;
                 result = Some(v);
@@ -622,11 +643,8 @@ impl<'p> EmuRun<'p> {
             }
             Op::Store { object, offset, .. } => {
                 let data = &mut self.memory[object.index()];
-                let idx = mask_index(
-                    self.inputs_buf[0].as_int().wrapping_add(*offset),
-                    data.len(),
-                );
-                let v = self.inputs_buf[1];
+                let idx = mask_index(ops[0].as_int().wrapping_add(*offset), data.len());
+                let v = ops[1];
                 data[idx as usize] = v;
                 mem_access = Some(MemAccess {
                     object: *object,
@@ -641,7 +659,7 @@ impl<'p> EmuRun<'p> {
                 not_taken,
                 ..
             } => {
-                let is_taken = pred.eval(self.inputs_buf[0].as_int(), self.inputs_buf[1].as_int());
+                let is_taken = pred.eval(ops[0].as_int(), ops[1].as_int());
                 taken = Some(is_taken);
                 ctl = Ctl::Goto(if is_taken { *t_blk } else { *not_taken });
             }
@@ -746,7 +764,11 @@ impl<'p> EmuRun<'p> {
             func: frame.func,
             block: frame.block,
             instr,
-            inputs: &self.inputs_buf,
+            inputs: if wide {
+                &self.inputs_buf
+            } else {
+                &ops[..n_ops]
+            },
             result,
             mem: mem_access,
             taken,
@@ -762,6 +784,7 @@ impl<'p> EmuRun<'p> {
             }
             Ctl::Goto(target) => {
                 frame.block = target;
+                frame.code = &program.function(frame.func).block(target).instrs;
                 frame.pos = 0;
                 let fid = frame.func;
                 sink.on_block_enter(fid, target);
@@ -782,6 +805,7 @@ impl<'p> EmuRun<'p> {
                     func: callee,
                     regs,
                     block: target.entry(),
+                    code: &target.block(target.entry()).instrs,
                     pos: 0,
                     ret_regs: rets,
                 });
@@ -878,6 +902,7 @@ pub struct EmuMemoSnapshot {
     pub body_instrs: u64,
 }
 
+#[inline(always)]
 fn read_operand(regs: &[Value], op: Operand) -> Value {
     match op {
         Operand::Reg(r) => regs[r.index()],
@@ -886,10 +911,17 @@ fn read_operand(regs: &[Value], op: Operand) -> Value {
 }
 
 /// Masks a raw element index into the object's bounds. Negative and
-/// out-of-range indices wrap (the emulator is total: no trap).
+/// out-of-range indices wrap (the emulator is total: no trap). An
+/// in-bounds index, the common case, skips the division: a negative
+/// `raw` casts to at least 2^63, above any object size.
+#[inline(always)]
 fn mask_index(raw: i64, size: usize) -> u64 {
     debug_assert!(size > 0, "zero-sized object");
-    raw.rem_euclid(size as i64) as u64
+    if (raw as u64) < size as u64 {
+        raw as u64
+    } else {
+        raw.rem_euclid(size as i64) as u64
+    }
 }
 
 #[cfg(test)]
@@ -1289,6 +1321,134 @@ mod tests {
         let mut crb = ScriptCrb::default();
         Emulator::new(&p).run(&mut crb, &mut NullSink).unwrap();
         assert_eq!(crb.records, 0);
+    }
+
+    /// Checks every event's operand slots against its instruction:
+    /// one value per [`Instr::src_operands`] entry, in that order,
+    /// and each immediate slot holding its immediate.
+    #[derive(Default)]
+    struct OperandCheck {
+        kinds: Vec<std::mem::Discriminant<Op>>,
+    }
+
+    impl TraceSink for OperandCheck {
+        fn on_exec(&mut self, event: &ExecEvent<'_>) {
+            let op = &event.instr.op;
+            let srcs = event.instr.src_operands();
+            assert_eq!(event.inputs.len(), srcs.len(), "{op:?}");
+            for (value, src) in event.inputs.iter().zip(&srcs) {
+                if let Operand::Imm(imm) = src {
+                    assert_eq!(*value, Value::from_int(*imm), "{op:?}");
+                }
+            }
+            if let Some(mem) = event.mem.filter(|m| m.is_store) {
+                assert_eq!(event.inputs[1], mem.value, "{op:?}");
+            }
+            let kind = std::mem::discriminant(op);
+            if !self.kinds.contains(&kind) {
+                self.kinds.push(kind);
+            }
+        }
+    }
+
+    /// One program executing every [`Op`] kind, with immediates in
+    /// operand slots, a 3-argument call and a 2-value return.
+    ///
+    /// Layout of `main`:
+    ///   b0: x = 5; o[1] = 9; v = o[x]; c = v < 10; invalidate; nop;
+    ///       (m, k) = g(x, 7, v); jump b1
+    ///   b1: reuse rcr0 body=b2 cont=b3
+    ///   b2: y = m + c (live-out); jump b3 (region_end)
+    ///   b3: br y != 0 -> b4 else b1
+    ///   b4: ret y, k
+    fn every_op_program() -> Program {
+        let mut pb = ProgramBuilder::new();
+        let o = pb.object("o", 4);
+        let g = pb.declare("g", 3, 2);
+        let mut gb = pb.function_body(g);
+        let (a, b, c) = (gb.param(0), gb.param(1), gb.param(2));
+        let s = gb.add(a, b);
+        let m = gb.mul(s, c);
+        gb.ret(&[Operand::Reg(m), Operand::Imm(-3)]);
+        pb.finish_function(gb);
+        let mut f = pb.function("main", 0, 2);
+        let x = f.movi(5);
+        f.store(o, 1, 9);
+        let v = f.load(o, x); // 5 wraps to 1
+        let c = f.cmp(CmpPred::Lt, v, 10);
+        f.nop(); // patched to invalidate
+        f.nop();
+        let rs = f.call(g, &[Operand::Reg(x), Operand::Imm(7), Operand::Reg(v)], 2);
+        let y = f.fresh();
+        let reuse_blk = f.block();
+        let body = f.block();
+        let cont = f.block();
+        let done = f.block();
+        f.jump(reuse_blk);
+        f.switch_to(reuse_blk);
+        f.jump(body); // patched to reuse
+        f.switch_to(body);
+        f.bin_into(BinKind::Add, y, rs[0], c);
+        f.jump(cont);
+        f.switch_to(cont);
+        f.br(CmpPred::Ne, y, 0, done, reuse_blk);
+        f.switch_to(done);
+        f.ret(&[Operand::Reg(y), Operand::Reg(rs[1])]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let mut p = pb.finish();
+        let region = p.fresh_region_id();
+        let func = p.function_mut(id);
+        let entry = func.block_mut(BlockId(0));
+        let nop = entry
+            .instrs
+            .iter()
+            .position(|i| matches!(i.op, Op::Nop))
+            .unwrap();
+        entry.instrs[nop].op = Op::Invalidate { region };
+        func.block_mut(reuse_blk).instrs[0].op = Op::Reuse { region, body, cont };
+        func.block_mut(body).instrs[0].ext = InstrExt::LIVE_OUT;
+        func.block_mut(body).instrs[1].ext = InstrExt::REGION_END;
+        ccr_ir::verify_program(&p).unwrap();
+        p
+    }
+
+    #[test]
+    fn events_carry_one_input_per_source_operand() {
+        let p = every_op_program();
+        let emu = Emulator::new(&p);
+        let mut check = OperandCheck::default();
+        let out = emu.run(&mut NullCrb, &mut check).unwrap();
+        // (5 + 7) * 9 + 1, and g's immediate second return value.
+        assert_eq!(
+            out.returned,
+            vec![Value::from_int(109), Value::from_int(-3)]
+        );
+        assert_eq!(check.kinds.len(), 12, "every Op kind executed");
+        // The same through `&mut dyn` and a recording buffer.
+        let mut crb = ScriptCrb::default();
+        let mut check = OperandCheck::default();
+        let (crb_dyn, sink_dyn): (&mut dyn CrbModel, &mut dyn TraceSink) = (&mut crb, &mut check);
+        assert_eq!(emu.run(crb_dyn, sink_dyn).unwrap(), out);
+        assert_eq!(crb.records, 1);
+        assert_eq!(check.kinds.len(), 12);
+    }
+
+    #[test]
+    fn mask_index_matches_rem_euclid() {
+        for size in [1usize, 2, 3, 4, 7, 8, 1000] {
+            let n = size as i64;
+            for raw in [0, 1, n - 1, n, n + 1, -1, -n, -n - 1, 3 * n + 2]
+                .into_iter()
+                .chain([i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1])
+            {
+                assert_eq!(
+                    mask_index(raw, size),
+                    raw.rem_euclid(n) as u64,
+                    "{raw} % {size}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,13 +22,12 @@ use crate::machine::MachineConfig;
 use crate::snapshot::{BtbSnapshot, CacheSnapshot, PipelineFrameSnapshot, PipelineSnapshot};
 use crate::stats::{AttrBucket, Attribution, CycleBuckets, FuncCycles, RegionDynStats, SimStats};
 
-#[derive(Clone, Copy, Default)]
-struct FuUse {
-    int: u32,
-    mem: u32,
-    fp: u32,
-    branch: u32,
-}
+// Functional-unit kinds, indexing `Pipeline::fu_used` in the order
+// snapshots and fingerprints store it.
+const FU_INT: usize = 0;
+const FU_MEM: usize = 1;
+const FU_FP: usize = 2;
+const FU_BRANCH: usize = 3;
 
 /// Per-call-frame register scoreboard. The IR numbers registers
 /// densely from zero within each function, so readiness and producer
@@ -104,7 +103,8 @@ pub struct Pipeline {
     last_issue: u64,
     slot_cycle: u64,
     slots_used: u32,
-    fu_used: FuUse,
+    /// Units of each kind (`FU_INT`..`FU_BRANCH`) used in `slot_cycle`.
+    fu_used: [u32; 4],
     fetch_ready: u64,
     last_fetch_line: Option<u64>,
     frames: Vec<Frame>,
@@ -137,7 +137,7 @@ impl Pipeline {
             last_issue: 0,
             slot_cycle: 0,
             slots_used: 0,
-            fu_used: FuUse::default(),
+            fu_used: [0; 4],
             fetch_ready: 0,
             last_fetch_line: None,
             frames: vec![Frame::new(Vec::new(), Vec::new())],
@@ -221,33 +221,34 @@ impl Pipeline {
         self.stats
     }
 
-    fn fu_limit(&self, class: OpClass) -> (u32, fn(&mut FuUse) -> &mut u32) {
+    /// The unit count and `fu_used` index of the units `class` issues to.
+    fn fu_unit(&self, class: OpClass) -> (u32, usize) {
         match class {
             OpClass::IntAlu | OpClass::IntMul | OpClass::Invalidate => {
-                (self.machine.int_alus, |f| &mut f.int)
+                (self.machine.int_alus, FU_INT)
             }
-            OpClass::Load | OpClass::Store => (self.machine.mem_ports, |f| &mut f.mem),
-            OpClass::FpAlu => (self.machine.fp_alus, |f| &mut f.fp),
-            OpClass::Branch | OpClass::Reuse => (self.machine.branch_units, |f| &mut f.branch),
+            OpClass::Load | OpClass::Store => (self.machine.mem_ports, FU_MEM),
+            OpClass::FpAlu => (self.machine.fp_alus, FU_FP),
+            OpClass::Branch | OpClass::Reuse => (self.machine.branch_units, FU_BRANCH),
         }
     }
 
     fn issue_at(&mut self, earliest: u64, class: OpClass) -> u64 {
-        let (limit, slot) = self.fu_limit(class);
+        let (limit, unit) = self.fu_unit(class);
         let mut t = earliest.max(self.last_issue);
         loop {
             if t > self.slot_cycle {
                 self.slot_cycle = t;
                 self.slots_used = 0;
-                self.fu_used = FuUse::default();
+                self.fu_used = [0; 4];
             }
-            if self.slots_used < self.machine.issue_width && *slot(&mut self.fu_used) < limit {
+            if self.slots_used < self.machine.issue_width && self.fu_used[unit] < limit {
                 break;
             }
             t += 1;
         }
         self.slots_used += 1;
-        *slot(&mut self.fu_used) += 1;
+        self.fu_used[unit] += 1;
         self.last_issue = t;
         t
     }
@@ -336,12 +337,7 @@ impl Pipeline {
             last_issue: self.last_issue,
             slot_cycle: self.slot_cycle,
             slots_used: self.slots_used,
-            fu_used: [
-                self.fu_used.int,
-                self.fu_used.mem,
-                self.fu_used.fp,
-                self.fu_used.branch,
-            ],
+            fu_used: self.fu_used,
             fetch_ready: self.fetch_ready,
             last_fetch_line: self.last_fetch_line,
             frames: self
@@ -415,12 +411,7 @@ impl Pipeline {
         p.last_issue = snap.last_issue;
         p.slot_cycle = snap.slot_cycle;
         p.slots_used = snap.slots_used;
-        p.fu_used = FuUse {
-            int: snap.fu_used[0],
-            mem: snap.fu_used[1],
-            fp: snap.fu_used[2],
-            branch: snap.fu_used[3],
-        };
+        p.fu_used = snap.fu_used;
         p.fetch_ready = snap.fetch_ready;
         p.last_fetch_line = snap.last_fetch_line;
         p.frames = snap
@@ -449,10 +440,9 @@ impl Pipeline {
         push(self.last_issue);
         push(self.slot_cycle);
         push(u64::from(self.slots_used));
-        push(u64::from(self.fu_used.int));
-        push(u64::from(self.fu_used.mem));
-        push(u64::from(self.fu_used.fp));
-        push(u64::from(self.fu_used.branch));
+        for used in self.fu_used {
+            push(u64::from(used));
+        }
         push(self.fetch_ready);
         match self.last_fetch_line {
             None => push(0),

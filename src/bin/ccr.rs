@@ -201,7 +201,8 @@ const USAGE: &str = "usage:
   ccr potential <benchmark|file.ccr>
   ccr print <benchmark> [--annotated]
   ccr trace <benchmark|file.ccr> [--limit N]
-  ccr list";
+  ccr list
+  ccr help | --help | -h";
 
 /// Parsed flag set shared by the subcommands.
 struct Flags {
@@ -506,6 +507,10 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(cmd) = args.first() else {
         return Err(usage_err("missing subcommand"));
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
     let flags = parse_flags(&args[1..]).map_err(usage_err)?;
     let ok = |r: Result<(), CliError>| r.map(|()| ExitCode::SUCCESS);
     match cmd.as_str() {

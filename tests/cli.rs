@@ -559,3 +559,54 @@ fn bad_arguments_fail_with_usage() {
     let out = ccr().args(["run", "not-a-benchmark"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    for arg in ["--help", "-h", "help"] {
+        let out = ccr().arg(arg).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{arg}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage:\n"), "{arg}: {stdout}");
+        assert!(stdout.contains("ccr run <benchmark|file.ccr>"), "{arg}");
+        assert!(out.stderr.is_empty(), "{arg}");
+    }
+}
+
+#[test]
+fn malformed_memory_objects_are_errors_not_panics() {
+    let fixture = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/sum_scan.ccr"
+    ))
+    .unwrap();
+    let good = "object @1 \"cells\" kind=Named size=4 init=[10, 20, 30, 40]";
+    assert!(fixture.contains(good));
+    let dir = std::env::temp_dir().join(format!("ccr-cli-objects-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bad, want) in [
+        (
+            "empty",
+            "object @1 \"cells\" kind=Named size=0 init=[]",
+            "object @1 has size 0",
+        ),
+        (
+            "overfull",
+            "object @1 \"cells\" kind=Named size=2 init=[10, 20, 30, 40]",
+            "object @1 has 4 initializers for size 2",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.ccr"));
+        std::fs::write(&path, fixture.replace(good, bad)).unwrap();
+        let out = ccr()
+            .args(["run", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error: "), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
