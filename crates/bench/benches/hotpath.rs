@@ -3,7 +3,8 @@
 //! scanning (fingerprint pre-filter on vs off), ghost scanning, the
 //! pipeline's register ready-tracking, and the per-layer cost of one
 //! workload (bare emulation, emulation under the value profiler,
-//! emulation plus the timing pipeline with and without the CRB, and
+//! emulation plus the timing pipeline with and without the CRB, eight
+//! machines simulated one by one or fanned out from one emulation, and
 //! emulation under the Figure 4 reuse-potential study).
 
 use ccr_ir::{Reg, RegionId, Value};
@@ -11,7 +12,7 @@ use ccr_profile::{
     CrbModel, Emulator, NullCrb, NullSink, PotentialStudy, RecordedInstance, ValueProfiler,
 };
 use ccr_regions::RegionConfig;
-use ccr_sim::{simulate, simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
+use ccr_sim::{simulate, simulate_baseline, simulate_group, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -188,6 +189,30 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     g.finish();
 }
 
+/// The paper machine, reuse-miss penalties 0/4/16, speculative
+/// validation and issue widths 2/4/8.
+fn registry_machines() -> Vec<MachineConfig> {
+    let paper = MachineConfig::paper();
+    let mut machines = vec![paper];
+    for penalty in [0, 4, 16] {
+        machines.push(MachineConfig {
+            reuse_miss_penalty: penalty,
+            ..paper
+        });
+    }
+    machines.push(MachineConfig::with_speculative_validation());
+    for width in [2, 4, 8] {
+        machines.push(MachineConfig {
+            issue_width: width,
+            int_alus: (width * 2 / 3).max(1),
+            mem_ports: (width / 3).max(1),
+            fp_alus: (width / 3).max(1),
+            ..paper
+        });
+    }
+    machines
+}
+
 fn bench_sim_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_layers");
     g.sample_size(10);
@@ -234,6 +259,36 @@ fn bench_sim_layers(c: &mut Criterion) {
             )
             .unwrap();
             black_box(out.stats.cycles);
+        });
+    });
+    // The eight machines the registry times each paper-CRB stream on:
+    // eight separate simulations against one emulation fanned out to
+    // eight pipelines. The gap is the shared emulator+CRB work.
+    let machines = registry_machines();
+    g.bench_function("simulate8_m88ksim", |b| {
+        b.iter(|| {
+            for machine in &machines {
+                let out = simulate(
+                    &compiled.annotated,
+                    machine,
+                    Some(CrbConfig::paper()),
+                    ccr_bench::emu_config(),
+                )
+                .unwrap();
+                black_box(out.stats.cycles);
+            }
+        });
+    });
+    g.bench_function("simulate_group8_m88ksim", |b| {
+        b.iter(|| {
+            let outs = simulate_group(
+                &compiled.annotated,
+                &machines,
+                Some(CrbConfig::paper()),
+                ccr_bench::emu_config(),
+            )
+            .unwrap();
+            black_box(outs.iter().map(|o| o.stats.cycles).sum::<u64>());
         });
     });
     // The same instruction stream observed by the limit study (what

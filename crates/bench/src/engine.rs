@@ -29,6 +29,14 @@
 //!   hit/miss/eviction counters registered on a PR-7
 //!   [`MetricsRegistry`] (`engine.simcache.*`).
 //!
+//! Simulations run grouped by event stream: the emulator+CRB stream
+//! depends only on the program's content, the CRB configuration and
+//! the emulator limits, so one emulation drives the pipeline of every
+//! distinct machine that reads it ([`ccr_sim::simulate_group`]), and
+//! the result cache looks a group's keys up together
+//! ([`SimResultCache::get_or_run_group`]). [`stream_groups`] exposes
+//! the grouping for checking fanned runs against per-unit ones.
+//!
 //! The one-shot paths (`ccr exp`, `ccr bench`, `ccr suite`,
 //! `ccr profile`) construct a fresh engine per invocation — every
 //! lookup misses, the simulations run exactly as before, and every
@@ -56,9 +64,13 @@ use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::{reuse_potential, Measurement};
 use ccr_core::telemetry::{Counter, MetricsRegistry};
+use ccr_ir::Program;
 use ccr_profile::EmuConfig;
 use ccr_profile::ReusePotential;
-use ccr_sim::{simulate, simulate_baseline, CrbConfig, MachineConfig, SimOutcome, SimSession};
+use ccr_sim::{
+    apportion_wall_ms, simulate, simulate_baseline, simulate_group, CrbConfig, MachineConfig,
+    SimOutcome, SimSession,
+};
 use ccr_workloads::InputSet;
 
 use crate::exp::{
@@ -201,13 +213,7 @@ impl SimResultCache {
     ) -> Result<CachedSim, String> {
         let mut state = self.state.lock().expect("result cache lock");
         loop {
-            if state.ready.contains_key(key) {
-                state.tick += 1;
-                let tick = state.tick;
-                let entry = state.ready.get_mut(key).expect("checked above");
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                self.hits.inc();
+            if let Some(value) = self.take_ready(&mut state, key) {
                 return Ok(value);
             }
             if !state.pending.contains(key) {
@@ -219,9 +225,86 @@ impl SimResultCache {
         self.misses.inc();
         drop(state);
         let result = run();
+        self.land(&[key], result.as_ref().ok().map(std::slice::from_ref));
+        result
+    }
+
+    /// [`SimResultCache::get_or_run`] for several keys computed by one
+    /// run, as a fanned simulation group is. Ready keys are hits.
+    /// Missing keys are marked pending and handed to `run` together, as
+    /// indices into `keys`; `run` returns one result per index, in that
+    /// order. Keys another thread has pending are awaited only after
+    /// this call has landed its own results, so two callers waiting on
+    /// each other's keys cannot deadlock. Each key counts one hit or
+    /// one miss, exactly as a [`SimResultCache::get_or_run`] of it
+    /// would. Returns one result per key, in `keys` order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `run`'s error without caching it; waiters on the failed
+    /// keys retry with their own runs.
+    pub fn get_or_run_group(
+        &self,
+        keys: &[String],
+        mut run: impl FnMut(&[usize]) -> Result<Vec<CachedSim>, String>,
+    ) -> Result<Vec<CachedSim>, String> {
+        let mut out: Vec<Option<CachedSim>> = vec![None; keys.len()];
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
         let mut state = self.state.lock().expect("result cache lock");
-        state.pending.remove(key);
-        if let Ok(value) = &result {
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(value) = self.take_ready(&mut state, key) {
+                out[i] = Some(value);
+            } else if state.pending.contains(key) {
+                theirs.push(i);
+            } else {
+                state.pending.insert(key.clone());
+                self.misses.inc();
+                mine.push(i);
+            }
+        }
+        drop(state);
+        if !mine.is_empty() {
+            let result = run(&mine);
+            if let Ok(values) = &result {
+                assert_eq!(values.len(), mine.len(), "one result per missing key");
+            }
+            let mine_keys: Vec<&str> = mine.iter().map(|&i| keys[i].as_str()).collect();
+            self.land(&mine_keys, result.as_ref().ok().map(Vec::as_slice));
+            for (&i, value) in mine.iter().zip(result?) {
+                out[i] = Some(value);
+            }
+        }
+        for i in theirs {
+            let value = self.get_or_run(&keys[i], || {
+                run(&[i]).map(|mut v| v.pop().expect("one result per missing key"))
+            })?;
+            out[i] = Some(value);
+        }
+        Ok(out
+            .into_iter()
+            .map(|v| v.expect("every key resolved"))
+            .collect())
+    }
+
+    /// A hit on a ready entry: refreshes its LRU stamp, counts the hit
+    /// and returns a copy.
+    fn take_ready(&self, state: &mut ResultCacheState, key: &str) -> Option<CachedSim> {
+        let entry = state.ready.get_mut(key)?;
+        state.tick += 1;
+        entry.last_used = state.tick;
+        self.hits.inc();
+        Some(entry.value.clone())
+    }
+
+    /// Clears the pending marks of `keys` and, on success, inserts
+    /// their `values` (evicting least-recently-used entries past
+    /// capacity), then wakes every waiter.
+    fn land(&self, keys: &[&str], values: Option<&[CachedSim]>) {
+        let mut state = self.state.lock().expect("result cache lock");
+        for key in keys {
+            state.pending.remove(*key);
+        }
+        for (key, value) in keys.iter().zip(values.unwrap_or_default()) {
             state.tick += 1;
             let tick = state.tick;
             state.ready.insert(
@@ -244,7 +327,6 @@ impl SimResultCache {
         }
         drop(state);
         self.cv.notify_all();
-        result
     }
 
     /// [`SimResultCache::get_or_run`] for reuse-potential studies
@@ -341,8 +423,12 @@ impl Engine {
     }
 
     /// Runs a plan through the engine: compiles and potential studies
-    /// first, then every simulation as an independent work item, all
-    /// through the shared caches. This is the body behind
+    /// first, then the simulations grouped by event stream — one
+    /// emulation per group, fanned out to one pipeline per distinct
+    /// machine — all through the shared caches. Each planned unit
+    /// still gets its own cache entry, checkpoint line and harness
+    /// events; a group's wall time is apportioned across its members.
+    /// This is the body behind
     /// [`crate::exp::execute_resumable`] — see its docs for the
     /// checkpoint and fingerprint semantics. Cache accounting on the
     /// returned [`Executed`] (and the `compile_cache` harness event)
@@ -390,7 +476,8 @@ impl Engine {
         }
         let jobs = self.jobs;
         harness.plan(
-            (plan.compiles.len() + plan.potentials.len()) as u64,
+            plan.compiles.len() as u64,
+            plan.potentials.len() as u64,
             (plan.bases.len() + plan.ccrs.len()) as u64,
             &[
                 ("specs", plan.stats.specs as u64),
@@ -509,41 +596,8 @@ impl Engine {
             None => None,
         };
 
-        enum Sim<'a> {
-            Base(&'a BaseUnit, Arc<CompiledWorkload>),
-            Ccr(&'a CcrUnit, Arc<CompiledWorkload>),
-        }
-        impl Sim<'_> {
-            fn key(&self) -> &str {
-                match self {
-                    Sim::Base(u, _) => &u.key,
-                    Sim::Ccr(u, _) => &u.key,
-                }
-            }
-            fn label(&self) -> String {
-                match self {
-                    Sim::Base(u, _) => format!(
-                        "sim:base:{}:m{}",
-                        u.name,
-                        &hash_fields(&u.machine.fields())[..8]
-                    ),
-                    Sim::Ccr(u, _) => {
-                        format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb))
-                    }
-                }
-            }
-        }
         let mut sim_items: Vec<Sim<'_>> = Vec::new();
-        for item in plan
-            .bases
-            .iter()
-            .map(|u| Sim::Base(u, Arc::clone(&executed.compiles[&u.compile_key])))
-            .chain(
-                plan.ccrs
-                    .iter()
-                    .map(|u| Sim::Ccr(u, Arc::clone(&executed.compiles[&u.compile_key]))),
-            )
-        {
+        for item in sim_units(plan, &executed.compiles) {
             let Some(entry) = restored.get(item.key()) else {
                 sim_items.push(item);
                 continue;
@@ -575,88 +629,96 @@ impl Engine {
         if restored_sims > 0 {
             eprintln!("checkpoint: restored {restored_sims} of {planned_sims} sim unit(s)");
         }
+        // Fingerprinted CCR units fold their session state, so they
+        // run alone; every other unit shares its stream's group.
+        let mut groups = group_streams(&sim_items, |item| {
+            fingerprint_window.is_some() && matches!(item, Sim::Ccr(..))
+        });
+        // Largest first, so a big group never starts last and holds
+        // the pool open after everything else has finished.
+        groups.sort_by_key(|g| std::cmp::Reverse(g.pipelines.len()));
+        harness.sim_groups(
+            sim_items.len() as u64,
+            groups.iter().map(|g| g.pipelines.len() as u64).sum(),
+            groups.len() as u64,
+        );
         let sim_labels: Vec<String> = sim_items.iter().map(Sim::label).collect();
-        let (sims, sim_pool) = parallel_map_observed(
-            &sim_items,
+        let group_labels: Vec<String> = groups.iter().map(|g| g.label(&sim_items)).collect();
+        let (group_results, sim_pool) = parallel_map_observed(
+            &groups,
             jobs,
-            Some(&sim_labels),
+            Some(&group_labels),
             harness.observer(),
-            |i, item| {
-                harness.task_start("sim", &sim_labels[i]);
-                let cache_key = result_cache_key(item.key(), fingerprint_window);
-                let out = self
-                    .result_cache
-                    .get_or_run(&cache_key, || {
-                        let start = Instant::now();
-                        let res = match item {
-                            Sim::Base(u, cw) => {
-                                simulate_baseline(&cw.base, &u.machine, emu_config())
-                                    .map(|o| (o, String::new()))
-                                    .map_err(|e| format!("{}: {e}", u.name))
-                            }
-                            Sim::Ccr(u, cw) => match fingerprint_window {
-                                None => {
-                                    simulate(&cw.annotated, &u.machine, Some(u.crb), emu_config())
-                                        .map(|o| (o, String::new()))
-                                        .map_err(|e| format!("{}: {e}", u.name))
-                                }
-                                Some(window) => {
-                                    let mut session = SimSession::new(
-                                        &cw.annotated,
-                                        &u.machine,
-                                        Some(u.crb),
-                                        emu_config(),
-                                        window,
-                                    );
-                                    session
-                                        .set_provenance(u.name, &config_hash(&u.machine, &u.crb));
-                                    session
-                                        .run_to_end()
-                                        .map_err(|e| format!("{}: {e}", u.name))
-                                        .map(|()| {
-                                            let hash = session.final_hash().expect("finished run");
-                                            (session.into_outcome(), format!("{hash:016x}"))
-                                        })
-                                }
-                            },
-                        };
-                        res.map(|(outcome, fingerprint)| CachedSim {
-                            outcome,
-                            wall_ms: start.elapsed().as_millis() as u64,
-                            fingerprint,
-                        })
-                    })
-                    .map(|c| match item {
-                        Sim::Base(u, _) => (u.key.clone(), true, c),
-                        Sim::Ccr(u, _) => (u.key.clone(), false, c),
-                    });
-                if let Ok((key, is_base, c)) = &out {
-                    harness.task_finish(
-                        "sim",
-                        &sim_labels[i],
-                        c.wall_ms,
-                        Some(c.outcome.stats.cycles),
-                    );
-                    if let Some(sink) = &ckpt_sink {
-                        let line = ckpt_line(key, *is_base, c.wall_ms, &c.fingerprint, &c.outcome);
-                        let mut f = sink.lock().expect("checkpoint lock");
-                        let _ = writeln!(f, "{line}").and_then(|()| f.flush());
+            |_, group| {
+                for &m in &group.members {
+                    harness.task_start("sim", &sim_labels[m]);
+                }
+                let keys: Vec<String> = group
+                    .members
+                    .iter()
+                    .map(|&m| result_cache_key(sim_items[m].key(), fingerprint_window))
+                    .collect();
+                let out = self.result_cache.get_or_run_group(&keys, |mine| {
+                    run_group(group, mine, &sim_items, fingerprint_window)
+                });
+                if let Ok(values) = &out {
+                    for (&m, c) in group.members.iter().zip(values) {
+                        harness.task_finish(
+                            "sim",
+                            &sim_labels[m],
+                            c.wall_ms,
+                            Some(c.outcome.stats.cycles),
+                        );
+                        if let Some(sink) = &ckpt_sink {
+                            let item = &sim_items[m];
+                            let is_base = matches!(item, Sim::Base(..));
+                            let line = ckpt_line(
+                                item.key(),
+                                is_base,
+                                c.wall_ms,
+                                &c.fingerprint,
+                                &c.outcome,
+                            );
+                            let mut f = sink.lock().expect("checkpoint lock");
+                            let _ = writeln!(f, "{line}").and_then(|()| f.flush());
+                        }
                     }
                 }
                 out
             },
         );
         harness.pool("sim", &sim_pool);
-        for out in sims {
-            let (key, is_base, c) = out?;
-            executed.sim_wall_ms.insert(key.clone(), c.wall_ms);
-            if is_base {
-                executed.bases.insert(key, c.outcome);
-            } else {
-                if !c.fingerprint.is_empty() {
-                    executed.fingerprints.insert(key.clone(), c.fingerprint);
+        let mut unit_results: Vec<Option<Result<CachedSim, String>>> =
+            (0..sim_items.len()).map(|_| None).collect();
+        for (group, out) in groups.iter().zip(group_results) {
+            match out {
+                Ok(values) => {
+                    for (&m, c) in group.members.iter().zip(values) {
+                        unit_results[m] = Some(Ok(c));
+                    }
                 }
-                executed.ccrs.insert(key, c.outcome);
+                Err(e) => {
+                    for &m in &group.members {
+                        unit_results[m] = Some(Err(e.clone()));
+                    }
+                }
+            }
+        }
+        // Unit order, so the first failing unit's error surfaces.
+        for (item, out) in sim_items.iter().zip(unit_results) {
+            let c = out.expect("every unit is in one group")?;
+            let key = item.key().to_string();
+            executed.sim_wall_ms.insert(key.clone(), c.wall_ms);
+            match item {
+                Sim::Base(..) => {
+                    executed.bases.insert(key, c.outcome);
+                }
+                Sim::Ccr(..) => {
+                    if !c.fingerprint.is_empty() {
+                        executed.fingerprints.insert(key.clone(), c.fingerprint);
+                    }
+                    executed.ccrs.insert(key, c.outcome);
+                }
             }
         }
         Ok(executed)
@@ -700,6 +762,311 @@ impl Engine {
     }
 }
 
+/// One planned simulation unit with the compile whose program it runs.
+enum Sim<'a> {
+    Base(&'a BaseUnit, &'a CompiledWorkload),
+    Ccr(&'a CcrUnit, &'a CompiledWorkload),
+}
+
+impl<'a> Sim<'a> {
+    fn key(&self) -> &'a str {
+        match self {
+            Sim::Base(u, _) => &u.key,
+            Sim::Ccr(u, _) => &u.key,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Sim::Base(u, _) => u.name,
+            Sim::Ccr(u, _) => u.name,
+        }
+    }
+
+    fn label(&self) -> String {
+        match self {
+            Sim::Base(u, _) => format!(
+                "sim:base:{}:m{}",
+                u.name,
+                &hash_fields(&u.machine.fields())[..8]
+            ),
+            Sim::Ccr(u, _) => format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb)),
+        }
+    }
+
+    fn program(&self) -> &'a Program {
+        match self {
+            Sim::Base(_, cw) => &cw.base,
+            Sim::Ccr(_, cw) => &cw.annotated,
+        }
+    }
+
+    fn machine(&self) -> &'a MachineConfig {
+        match self {
+            Sim::Base(u, _) => &u.machine,
+            Sim::Ccr(u, _) => &u.machine,
+        }
+    }
+
+    fn crb(&self) -> Option<CrbConfig> {
+        match self {
+            Sim::Base(..) => None,
+            Sim::Ccr(u, _) => Some(u.crb),
+        }
+    }
+
+    /// The content hash of the program the unit runs.
+    fn program_hash(&self) -> u64 {
+        match self {
+            Sim::Base(_, cw) => cw.base_hash,
+            Sim::Ccr(_, cw) => cw.annotated_hash,
+        }
+    }
+
+    /// Whether `self` and `other` produce the same emulator+CRB event
+    /// stream: equal program content and CRB configuration (none for a
+    /// baseline). The emulator limits are `emu_config()` for every
+    /// unit, and the machine reaches only the pipeline.
+    fn same_stream(&self, other: &Sim<'_>) -> bool {
+        self.program_hash() == other.program_hash()
+            && match (self, other) {
+                (Sim::Base(..), Sim::Base(..)) => true,
+                (Sim::Ccr(u, _), Sim::Ccr(v, _)) => u.crb == v.crb,
+                _ => false,
+            }
+    }
+
+    /// Whether a pipeline on the shared stream times `self` and `other`
+    /// identically: equal machines, or, for baselines, equal machine
+    /// fields a program without `reuse` instructions can reach (as in
+    /// the planner's baseline key).
+    fn same_pipeline(&self, other: &Sim<'_>) -> bool {
+        match (self, other) {
+            (Sim::Base(u, _), Sim::Base(v, _)) => {
+                u.machine.baseline_fields() == v.machine.baseline_fields()
+            }
+            (Sim::Ccr(u, _), Sim::Ccr(v, _)) => u.machine == v.machine,
+            _ => false,
+        }
+    }
+}
+
+/// Every planned simulation unit in plan order (baselines, then CCR
+/// points), each paired with the compile it reads from `compiles`.
+fn sim_units<'a>(
+    plan: &'a Plan<'_>,
+    compiles: &'a HashMap<String, Arc<CompiledWorkload>>,
+) -> impl Iterator<Item = Sim<'a>> {
+    plan.bases
+        .iter()
+        .map(|u| Sim::Base(u, &compiles[&u.compile_key]))
+        .chain(
+            plan.ccrs
+                .iter()
+                .map(|u| Sim::Ccr(u, &compiles[&u.compile_key])),
+        )
+}
+
+/// Units sharing one event stream: one emulator+CRB run drives one
+/// pipeline per distinct machine among them.
+#[derive(Default)]
+struct Group {
+    /// Indices into the unit list, in unit order.
+    members: Vec<usize>,
+    /// Per member, its index into `pipelines`. Members whose programs
+    /// are equal in content and whose machines match share a pipeline.
+    pipeline_of: Vec<usize>,
+    /// Per distinct pipeline, the first member that reads it.
+    pipelines: Vec<usize>,
+}
+
+impl Group {
+    fn machines(&self, items: &[Sim<'_>]) -> Vec<MachineConfig> {
+        self.pipelines
+            .iter()
+            .map(|&m| *items[m].machine())
+            .collect()
+    }
+
+    fn label(&self, items: &[Sim<'_>]) -> String {
+        let first = &items[self.members[0]];
+        let kind = match first {
+            Sim::Base(..) => "base",
+            Sim::Ccr(..) => "ccr",
+        };
+        format!(
+            "group:{kind}:{}:{:08x}x{}",
+            first.name(),
+            first.program_hash() >> 32,
+            self.members.len()
+        )
+    }
+}
+
+/// Groups `items` by event stream, in first-encounter order; units for
+/// which `alone` holds get a group of their own.
+fn group_streams(items: &[Sim<'_>], alone: impl Fn(&Sim<'_>) -> bool) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
+    let mut by_program: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, item) in items.iter().enumerate() {
+        let mut shared = (!alone(item)).then(|| by_program.entry(item.program_hash()).or_default());
+        let found = shared.as_ref().and_then(|candidates| {
+            candidates
+                .iter()
+                .copied()
+                .find(|&g| item.same_stream(&items[groups[g].members[0]]))
+        });
+        let g = match found {
+            Some(g) => g,
+            None => {
+                if let Some(candidates) = shared.as_mut() {
+                    candidates.push(groups.len());
+                }
+                groups.push(Group::default());
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[g];
+        let p = match group
+            .pipelines
+            .iter()
+            .position(|&m| item.same_pipeline(&items[m]))
+        {
+            Some(p) => p,
+            None => {
+                group.pipelines.push(i);
+                group.pipelines.len() - 1
+            }
+        };
+        group.members.push(i);
+        group.pipeline_of.push(p);
+    }
+    groups
+}
+
+/// One distinct event stream of an executed plan, as the engine fans
+/// it out: what [`Engine::execute_plan`] ran as one emulator+CRB pass
+/// (without a fingerprint window), for checking a fanned run against
+/// per-unit simulations.
+pub struct StreamGroup<'a> {
+    /// The program the fanned run emulates (its first member's).
+    pub program: &'a Program,
+    /// The CRB the stream runs against; `None` for baselines.
+    pub crb: Option<CrbConfig>,
+    /// One machine per distinct pipeline.
+    pub machines: Vec<MachineConfig>,
+    /// The planned simulation units on the stream, in plan order.
+    pub members: Vec<StreamMember<'a>>,
+}
+
+/// One planned simulation unit of a [`StreamGroup`].
+pub struct StreamMember<'a> {
+    /// The planner's dedup key of the unit.
+    pub key: &'a str,
+    /// The program of the unit's own compile: equal in content to the
+    /// group's, though it may come from another region configuration.
+    pub program: &'a Program,
+    /// The unit's machine.
+    pub machine: MachineConfig,
+    /// Index into [`StreamGroup::machines`] of the pipeline it reads.
+    pub pipeline: usize,
+    /// The outcome the execution recorded for the unit.
+    pub outcome: &'a SimOutcome,
+}
+
+/// The stream groups of `plan`'s simulations, in first-encounter
+/// order, with the outcomes `executed` (a run of `plan`) holds.
+///
+/// # Panics
+///
+/// Panics if `executed` is not a completed run of `plan`.
+pub fn stream_groups<'a>(plan: &'a Plan<'_>, executed: &'a Executed<'_>) -> Vec<StreamGroup<'a>> {
+    let items: Vec<Sim<'a>> = sim_units(plan, &executed.compiles).collect();
+    group_streams(&items, |_| false)
+        .into_iter()
+        .map(|group| {
+            let first = &items[group.members[0]];
+            StreamGroup {
+                program: first.program(),
+                crb: first.crb(),
+                members: group
+                    .members
+                    .iter()
+                    .zip(&group.pipeline_of)
+                    .map(|(&m, &pipeline)| {
+                        let item = &items[m];
+                        StreamMember {
+                            key: item.key(),
+                            program: item.program(),
+                            machine: *item.machine(),
+                            pipeline,
+                            outcome: match item {
+                                Sim::Base(..) => &executed.bases[item.key()],
+                                Sim::Ccr(..) => &executed.ccrs[item.key()],
+                            },
+                        }
+                    })
+                    .collect(),
+                machines: group.machines(&items),
+            }
+        })
+        .collect()
+}
+
+/// Simulates the members of `group` at positions `mine` (the ones the
+/// result cache could not serve): one fanned run over their distinct
+/// pipelines, its wall time apportioned across them. A fingerprinted
+/// CCR unit, alone in its group, runs through a [`SimSession`].
+fn run_group(
+    group: &Group,
+    mine: &[usize],
+    items: &[Sim<'_>],
+    fingerprint_window: Option<u64>,
+) -> Result<Vec<CachedSim>, String> {
+    let first = &items[group.members[mine[0]]];
+    if let (Some(window), Sim::Ccr(u, cw)) = (fingerprint_window, first) {
+        let start = Instant::now();
+        let mut session =
+            SimSession::new(&cw.annotated, &u.machine, Some(u.crb), emu_config(), window);
+        session.set_provenance(u.name, &config_hash(&u.machine, &u.crb));
+        session
+            .run_to_end()
+            .map_err(|e| format!("{}: {e}", u.name))?;
+        let hash = session.final_hash().expect("finished run");
+        return Ok(vec![CachedSim {
+            outcome: session.into_outcome(),
+            wall_ms: start.elapsed().as_millis() as u64,
+            fingerprint: format!("{hash:016x}"),
+        }]);
+    }
+    let mut slots: Vec<usize> = Vec::new();
+    let mut machines = Vec::new();
+    let slot_of: Vec<usize> = mine
+        .iter()
+        .map(|&j| {
+            let p = group.pipeline_of[j];
+            slots.iter().position(|&q| q == p).unwrap_or_else(|| {
+                slots.push(p);
+                machines.push(*items[group.pipelines[p]].machine());
+                slots.len() - 1
+            })
+        })
+        .collect();
+    let start = Instant::now();
+    let outcomes = simulate_group(first.program(), &machines, first.crb(), emu_config())
+        .map_err(|e| format!("{}: {e}", first.name()))?;
+    let walls = apportion_wall_ms(start.elapsed().as_nanos() as u64, mine.len());
+    Ok(slot_of
+        .into_iter()
+        .zip(walls)
+        .map(|(slot, wall_ms)| CachedSim {
+            outcome: outcomes[slot].clone(),
+            wall_ms,
+            fingerprint: String::new(),
+        })
+        .collect())
+}
+
 /// The result-cache key of a planned simulation unit: the planner's
 /// dedup key plus the fingerprint window, so fingerprinted and plain
 /// runs of the same point never share an entry.
@@ -737,6 +1104,7 @@ pub(crate) fn run_selected_inner(
     let cfg_hash = config_hash(machine, &crb);
     harness.plan(
         names.len() as u64,
+        0,
         2 * names.len() as u64,
         &[("jobs", jobs as u64)],
     );

@@ -28,7 +28,9 @@
 //!    scenarios that form different regions.
 //! 3. **Executor** ([`execute`]): fans the planned units through the
 //!    [`ccr_core::jobs`] pool — compiles and reuse-potential studies
-//!    first, then every simulation as an independent work item.
+//!    first, then the simulations, one work item per distinct
+//!    emulator+CRB event stream, fanned out to every pipeline that
+//!    reads it ([`ccr_sim::simulate_group`]).
 //!
 //! **Bit-identity contract:** every rendered table is byte-identical
 //! to what the legacy per-figure binary printed. Deduplication only
@@ -917,8 +919,8 @@ pub struct PointSummary {
 }
 
 /// Runs a plan's units over `jobs` workers: compiles and potential
-/// studies first (a simulation needs its compile), then every
-/// simulation as an independent work item.
+/// studies first (a simulation needs its compile), then one work item
+/// per distinct simulation event stream.
 ///
 /// Equivalent to [`execute_observed`] with a disabled harness.
 ///

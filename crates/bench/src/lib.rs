@@ -29,7 +29,10 @@ use ccr_regions::RegionConfig;
 use ccr_sim::{CrbConfig, MachineConfig};
 use ccr_workloads::{build, InputSet, NAMES};
 
-pub use engine::{CachedSim, Engine, SimResultCache, DEFAULT_RESULT_CACHE_CAPACITY};
+pub use engine::{
+    stream_groups, CachedSim, Engine, SimResultCache, StreamGroup, StreamMember,
+    DEFAULT_RESULT_CACHE_CAPACITY,
+};
 pub use exp::CompileCache;
 
 /// Default driver scale for experiment binaries (kept moderate so the

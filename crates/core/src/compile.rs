@@ -64,6 +64,32 @@ pub struct CompiledWorkload {
     pub profile: Arc<ReuseProfile>,
     /// Compile-time observability (pass timings, formation stats).
     pub telemetry: CompileTelemetry,
+    /// [`content_hash`] of `base`.
+    pub base_hash: u64,
+    /// [`content_hash`] of `annotated`. Compiles under different region
+    /// configurations that annotate identically share it, and so share
+    /// their simulations.
+    pub annotated_hash: u64,
+}
+
+/// FNV-1a (64-bit) over `program`'s textual IR. The text is lossless —
+/// printing and re-parsing reproduces the program and its behaviour
+/// (`tests/roundtrip.rs`) — so equal hashes mean equal programs, up to
+/// a hash collision. Streams the text into the hash without building
+/// it.
+pub fn content_hash(program: &Program) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &byte in s.as_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(ccr_sim::FNV_PRIME);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(ccr_sim::FNV_OFFSET);
+    std::fmt::write(&mut h, format_args!("{program}")).expect("hashing never fails");
+    h.0
 }
 
 /// Compiles `target` for CCR execution, selecting regions from a
@@ -252,6 +278,8 @@ pub fn compile_from_profile(
     let regions = ccr_regions::transform::annotate(&mut annotated_target, specs);
 
     Ok(CompiledWorkload {
+        base_hash: content_hash(&base),
+        annotated_hash: content_hash(&annotated_target),
         base,
         annotated: annotated_target,
         regions,

@@ -108,10 +108,14 @@ pub struct HarnessSummary {
     pub wall_ms: u64,
     /// Pool-worker utilization over every observed map, percent.
     pub utilization_pct: f64,
-    /// Distinct pool workers observed.
+    /// Pool workers of the widest observed map: phases run one after
+    /// another on the same worker count, so this is the `--jobs` the
+    /// run actually used.
     pub workers: usize,
-    /// Compile / potential-study tasks finished.
+    /// Compile tasks finished.
     pub compiles: u64,
+    /// Reuse-potential studies finished.
+    pub potentials: u64,
     /// Simulations finished.
     pub sims: u64,
     /// Total simulated cycles across every finished simulation.
@@ -139,12 +143,13 @@ impl HarnessSummary {
     /// The multi-line stderr rendering of the summary.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "harness: {:.1}s wall | {} worker(s), util {:.1}% | {} compile(s), {} sim(s), \
-             {:.1} Mcycles | compile cache {} hit / {} miss ({:.1}%)\n",
+            "harness: {:.1}s wall | {} worker(s), util {:.1}% | {} compile(s), \
+             {} potential(s), {} sim(s), {:.1} Mcycles | compile cache {} hit / {} miss ({:.1}%)\n",
             self.wall_ms as f64 / 1000.0,
             self.workers,
             self.utilization_pct,
             self.compiles,
+            self.potentials,
             self.sims,
             self.sim_cycles as f64 / 1e6,
             self.cache_hits,
@@ -170,6 +175,9 @@ struct HarnessShared {
     out: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
     compiles_total: Counter,
     compiles_done: Counter,
+    /// The potential studies among `compiles_done`, which counts every
+    /// prep task for the progress line.
+    potentials_done: AtomicU64,
     sims_total: Counter,
     sims_done: Counter,
     sim_cycles: Counter,
@@ -282,11 +290,13 @@ impl HarnessShared {
 
     fn summary(&self) -> HarnessSummary {
         let pool = self.pool.lock().expect("pool stats");
+        let potentials = self.potentials_done.load(Ordering::Relaxed);
         HarnessSummary {
             wall_ms: self.start.elapsed().as_millis() as u64,
             utilization_pct: 100.0 * pool.utilization(),
-            workers: pool.workers.len(),
-            compiles: self.compiles_done.get(),
+            workers: pool.jobs,
+            compiles: self.compiles_done.get() - potentials,
+            potentials,
             sims: self.sims_done.get(),
             sim_cycles: self.sim_cycles.get(),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -349,6 +359,7 @@ impl Harness {
             out: Mutex::new(out),
             compiles_total: registry.counter("harness.compiles.total"),
             compiles_done: registry.counter("harness.compiles.done"),
+            potentials_done: AtomicU64::new(0),
             sims_total: registry.counter("harness.sims.total"),
             sims_done: registry.counter("harness.sims.done"),
             sim_cycles: registry.counter("harness.sim.cycles"),
@@ -377,20 +388,29 @@ impl Harness {
 
     /// The pool observer to pass to
     /// [`crate::jobs::parallel_map_observed`] (`None` when disabled).
+    /// The first call waits for the monitor thread to start
+    /// ([`Monitor::wait_started`]), so it never races the pool's
+    /// workers for memory arenas.
     pub fn observer(&self) -> Option<&dyn PoolObserver> {
-        self.shared.as_ref().map(|_| self as &dyn PoolObserver)
+        self.shared.as_ref()?;
+        if let Some(monitor) = self.monitor.lock().expect("monitor").as_ref() {
+            monitor.wait_started();
+        }
+        Some(self as &dyn PoolObserver)
     }
 
     /// Records what the planner decided and arms the progress totals:
-    /// `compiles` prep tasks (compiles + potential studies) and `sims`
-    /// simulations, plus free-form accounting fields for the `plan`
-    /// event.
-    pub fn plan(&self, compiles: u64, sims: u64, detail: &[(&str, u64)]) {
+    /// `compiles` compiles, `potentials` reuse-potential studies and
+    /// `sims` simulations, plus free-form accounting fields for the
+    /// `plan` event. The progress line counts compiles and potential
+    /// studies together as prep tasks.
+    pub fn plan(&self, compiles: u64, potentials: u64, sims: u64, detail: &[(&str, u64)]) {
         let Some(shared) = &self.shared else { return };
-        shared.compiles_total.add(compiles);
+        shared.compiles_total.add(compiles + potentials);
         shared.sims_total.add(sims);
         let mut w = shared.line_begin("plan");
         w.key("compiles").u64_val(compiles);
+        w.key("potentials").u64_val(potentials);
         w.key("sims").u64_val(sims);
         for (name, value) in detail {
             w.key(name).u64_val(*value);
@@ -400,9 +420,16 @@ impl Harness {
 
     /// A labeled task began. `phase` is `compile`, `potential`, `sim`,
     /// or `profile`; the label carries the point identity
-    /// (workload × config-hash × phase).
+    /// (workload × config-hash × phase). Planned tasks not yet started
+    /// are the `harness.queue.depth` gauge: counted here, per planned
+    /// unit, rather than per pool task, since one pool task may run a
+    /// whole group of simulations.
     pub fn task_start(&self, phase: &str, label: &str) {
         let Some(shared) = &self.shared else { return };
+        shared.tasks_started.inc();
+        let total = shared.compiles_total.get() + shared.sims_total.get();
+        let pending = total.saturating_sub(shared.tasks_started.get());
+        shared.queue_depth.set(pending as f64);
         let mut w = shared.line_begin(&format!("{phase}_start"));
         w.key("label").str_val(label);
         shared.emit_line(w);
@@ -417,6 +444,9 @@ impl Harness {
             shared.sims_done.inc();
         } else {
             shared.compiles_done.inc();
+            if phase == "potential" {
+                shared.potentials_done.fetch_add(1, Ordering::Relaxed);
+            }
         }
         if let Some(cycles) = cycles {
             shared.sim_cycles.add(cycles);
@@ -454,6 +484,19 @@ impl Harness {
         w.key("windows").u64_val(windows);
         w.key("cycles").u64_val(cycles);
         w.key("hash").str_val(hash);
+        shared.emit_line(w);
+    }
+
+    /// Records how the simulation units about to run were grouped:
+    /// `units` planned simulations, `pipelines` distinct timing models
+    /// among them, and `emu_passes` distinct event streams (one
+    /// emulator+CRB run each, fanned out to its pipelines).
+    pub fn sim_groups(&self, units: u64, pipelines: u64, emu_passes: u64) {
+        let Some(shared) = &self.shared else { return };
+        let mut w = shared.line_begin("sim_groups");
+        w.key("units").u64_val(units);
+        w.key("pipelines").u64_val(pipelines);
+        w.key("emu_passes").u64_val(emu_passes);
         shared.emit_line(w);
     }
 
@@ -552,6 +595,7 @@ impl Harness {
         w.key("utilization_pct").f64_val(summary.utilization_pct);
         w.key("workers").u64_val(summary.workers as u64);
         w.key("compiles").u64_val(summary.compiles);
+        w.key("potentials").u64_val(summary.potentials);
         w.key("sims").u64_val(summary.sims);
         w.key("sim_cycles").u64_val(summary.sim_cycles);
         w.key("cache_hits").u64_val(summary.cache_hits);
@@ -573,14 +617,6 @@ impl Harness {
 }
 
 impl PoolObserver for Harness {
-    fn task_started(&self, _worker: usize, _index: usize, _label: &str) {
-        let Some(shared) = &self.shared else { return };
-        shared.tasks_started.inc();
-        let total = shared.compiles_total.get() + shared.sims_total.get();
-        let pending = total.saturating_sub(shared.tasks_started.get());
-        shared.queue_depth.set(pending as f64);
-    }
-
     fn task_finished(&self, worker: usize, _index: usize, _label: &str, wall_ns: u64) {
         let Some(shared) = &self.shared else { return };
         shared
@@ -611,7 +647,8 @@ mod tests {
         let h = Harness::disabled();
         assert!(!h.enabled());
         assert!(h.observer().is_none());
-        h.plan(3, 5, &[("specs", 1)]);
+        h.plan(3, 1, 5, &[("specs", 1)]);
+        h.sim_groups(5, 4, 2);
         h.task_start("sim", "sim:ccr:x");
         h.task_finish("sim", "sim:ccr:x", 12, Some(1000));
         h.snapshot("save", "x", 5000, "/tmp/x.snap.jsonl");
@@ -657,9 +694,11 @@ mod tests {
         })
         .expect("start harness");
         assert!(h.enabled());
-        h.plan(2, 4, &[("jobs", 8)]);
+        h.plan(1, 1, 4, &[("jobs", 8)]);
+        h.sim_groups(4, 3, 2);
         h.task_start("compile", "compile:bitcount:train");
         h.task_finish("compile", "compile:bitcount:train", 3, None);
+        h.task_finish("potential", "potential:bitcount:train", 2, None);
         h.task_finish("sim", "sim:ccr:bitcount:abc", 7, Some(12345));
         h.snapshot("save", "bitcount", 64_000, "runs/bitcount.snap.jsonl");
         h.fingerprint("bitcount", 2, 130_000, "0123456789abcdef");
@@ -669,6 +708,7 @@ mod tests {
         h.result_cache(3, 4, 1);
         let summary = h.finish().expect("enabled harness summarizes");
         assert_eq!(summary.compiles, 1);
+        assert_eq!(summary.potentials, 1);
         assert_eq!(summary.sims, 1);
         assert_eq!(summary.sim_cycles, 12345);
         assert_eq!(summary.cache_hits, 5);
@@ -682,6 +722,7 @@ mod tests {
         );
         for ev in [
             "\"ev\":\"plan\"",
+            "\"ev\":\"sim_groups\"",
             "\"ev\":\"compile_start\"",
             "\"ev\":\"compile_finish\"",
             "\"ev\":\"sim_finish\"",
@@ -733,6 +774,59 @@ mod tests {
         // The observer fed per-worker counters into the registry, so
         // the monitor's final sample carries them too.
         assert!(text.contains("pool.worker0.busy_ns"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workers_are_the_widest_phase_not_the_sum() {
+        let dir = std::env::temp_dir().join(format!(
+            "ccr-harness-workers-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let h = Harness::start(&HarnessOptions {
+            progress: ProgressMode::Off,
+            out: Some(dir.join("harness.jsonl")),
+            period_ms: 10_000,
+        })
+        .expect("start harness");
+        let items = [1u64, 2, 3];
+        for (phase, jobs) in [("prep", 2), ("sim", 2), ("serial", 1)] {
+            let (_, stats) =
+                crate::jobs::parallel_map_observed(&items, jobs, None, h.observer(), |_, _| ());
+            h.pool(phase, &stats);
+        }
+        assert_eq!(h.finish().expect("summary").workers, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queue_depth_counts_planned_units_not_pool_tasks() {
+        let dir = std::env::temp_dir().join(format!(
+            "ccr-harness-queue-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let h = Harness::start(&HarnessOptions {
+            progress: ProgressMode::Off,
+            out: Some(dir.join("harness.jsonl")),
+            period_ms: 10_000,
+        })
+        .expect("start harness");
+        h.plan(1, 1, 3, &[]);
+        let depth = || h.shared.as_ref().expect("enabled").queue_depth.get();
+        h.task_start("compile", "compile:w");
+        h.task_start("potential", "potential:w");
+        assert_eq!(depth(), 3.0);
+        // One pool task simulating a group of three units drains the
+        // queue: the gauge follows units, not pool tasks.
+        crate::jobs::parallel_map_observed(&[()], 1, None, h.observer(), |_, _| {
+            for i in 0..3 {
+                h.task_start("sim", &format!("sim:w:{i}"));
+            }
+        });
+        assert_eq!(depth(), 0.0);
+        h.finish();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -300,21 +300,32 @@ where
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R)>();
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let run_worker = &run_worker;
-                scope.spawn(move || {
-                    run_worker(w, &|| next.fetch_add(1, Ordering::Relaxed), &|i, r| {
-                        let _ = tx.send((i, r));
-                    });
-                });
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let tx = tx.clone();
+                    let next = &next;
+                    let run_worker = &run_worker;
+                    scope.spawn(move || {
+                        run_worker(w, &|| next.fetch_add(1, Ordering::Relaxed), &|i, r| {
+                            let _ = tx.send((i, r));
+                        });
+                    })
+                })
+                .collect();
             drop(tx);
             // Collect out-of-order arrivals into their input-order
             // slots.
             for (i, r) in rx {
                 slots[i] = Some(r);
+            }
+            // Join each thread outright. The scope alone returns once
+            // the closures finish, while the threads may still be
+            // exiting and holding their malloc arenas; a pool spawned
+            // right after would then find no free arena and create
+            // one, and every extra arena keeps its own high-water
+            // mark of retained memory. Panics were caught per task.
+            for handle in handles {
+                handle.join().expect("worker panics are caught per task");
             }
         });
     }

@@ -26,8 +26,8 @@ pub mod report;
 pub mod runreport;
 
 pub use compile::{
-    compile_ccr, compile_from_profile, profile_training, CompileConfig, CompileTelemetry,
-    CompiledWorkload, Trial, TrialKey,
+    compile_ccr, compile_from_profile, content_hash, profile_training, CompileConfig,
+    CompileTelemetry, CompiledWorkload, Trial, TrialKey,
 };
 pub use harness::{Harness, HarnessOptions, HarnessSummary, ProgressMode, HARNESS_SCHEMA_VERSION};
 pub use jobs::{

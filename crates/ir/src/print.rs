@@ -131,8 +131,14 @@ impl fmt::Display for Program {
                 obj.size()
             )?;
             if !obj.init().is_empty() {
-                let vals: Vec<String> = obj.init().iter().map(|v| v.as_int().to_string()).collect();
-                write!(f, " init=[{}]", vals.join(", "))?;
+                f.write_str(" init=[")?;
+                for (i, v) in obj.init().iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{}", v.as_int())?;
+                }
+                f.write_str("]")?;
             }
             writeln!(f)?;
         }

@@ -1,7 +1,7 @@
 //! A direct-mapped cache timing model.
 
 /// Cache geometry and timing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -192,7 +192,7 @@ pub struct NonuniformConfig {
 }
 
 /// Buffer geometry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrbConfig {
     /// Number of computation entries (32 / 64 / 128 in the paper).
     pub entries: usize,

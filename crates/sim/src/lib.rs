@@ -39,7 +39,7 @@ pub use fingerprint::{
 pub use machine::MachineConfig;
 pub use pipeline::Pipeline;
 pub use session::SimSession;
-pub use simulator::{simulate, simulate_baseline, SimOutcome};
+pub use simulator::{apportion_wall_ms, simulate, simulate_baseline, simulate_group, SimOutcome};
 pub use snapshot::{
     load_snapshot, parse_snapshot, save_snapshot, write_snapshot, SimSnapshot, SNAP_VERSION,
 };

@@ -4,7 +4,7 @@ use crate::cache::CacheConfig;
 
 /// The modeled processor, defaulting to the paper's evaluation
 /// machine (Section 5.1).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Instructions issued per cycle.
     pub issue_width: u32,

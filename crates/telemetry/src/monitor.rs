@@ -16,7 +16,8 @@
 //! simulated statistic is bit-identical with the monitor on or off.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -40,6 +41,9 @@ pub struct MonitorSample {
 pub struct Monitor {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<u64>>,
+    /// Signalled once the sampler thread has made its first allocation;
+    /// taken by the first [`Monitor::wait_started`].
+    started: Mutex<Option<Receiver<()>>>,
 }
 
 impl Monitor {
@@ -53,9 +57,14 @@ impl Monitor {
     ) -> Monitor {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        let (started_tx, started_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let handle = std::thread::Builder::new()
             .name("ccr-monitor".to_string())
             .spawn(move || {
+                // The first allocation binds a thread to a malloc
+                // arena. See `wait_started`.
+                drop(std::hint::black_box(Box::new(0u64)));
+                let _ = started_tx.send(());
                 let started = Instant::now();
                 let slice = period
                     .min(Duration::from_millis(20))
@@ -89,6 +98,21 @@ impl Monitor {
         Monitor {
             stop,
             handle: Some(handle),
+            started: Mutex::new(Some(started_rx)),
+        }
+    }
+
+    /// Blocks until the sampler thread has started and allocated (at
+    /// most once; later calls return at once). Call it before starting
+    /// worker threads: a thread takes a malloc arena at its first
+    /// allocation, and a sampler that allocates only at its first
+    /// sample would race those workers for the arenas earlier workers
+    /// released. A worker that wins the sampler's arena grows it to its
+    /// own high-water mark, and peak memory with it.
+    pub fn wait_started(&self) {
+        let started = self.started.lock().expect("monitor start lock").take();
+        if let Some(rx) = started {
+            let _ = rx.recv();
         }
     }
 

@@ -202,7 +202,7 @@ const USAGE: &str = "usage:
   ccr print <benchmark> [--annotated]
   ccr trace <benchmark|file.ccr> [--limit N]
   ccr list
-  ccr help | --help | -h";
+  ccr help | --help | -h   (also `ccr <command> --help`)";
 
 /// Parsed flag set shared by the subcommands.
 struct Flags {
@@ -234,6 +234,8 @@ struct Flags {
     at: Option<u64>,
     progress: Option<String>,
     no_progress: bool,
+    /// `--help` / `-h` after the subcommand: print the usage instead.
+    help: bool,
     harness_out: Option<String>,
     window: Option<u64>,
     at_cycle: Option<u64>,
@@ -282,6 +284,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         at: None,
         progress: None,
         no_progress: false,
+        help: false,
         harness_out: None,
         window: None,
         at_cycle: None,
@@ -417,6 +420,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--no-store" => flags.no_store = true,
             "--progress" => flags.progress = Some("plain".to_string()),
             "--no-progress" => flags.no_progress = true,
+            "--help" | "-h" => flags.help = true,
             "--harness-out" => flags.harness_out = Some(take("--harness-out")?),
             "--window" => {
                 flags.window = Some(
@@ -512,6 +516,10 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     }
     let flags = parse_flags(&args[1..]).map_err(usage_err)?;
+    if flags.help {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
     let ok = |r: Result<(), CliError>| r.map(|()| ExitCode::SUCCESS);
     match cmd.as_str() {
         "list" => {
@@ -788,7 +796,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
     let machine = MachineConfig::paper();
     let crb = crb_of(flags);
     let harness = harness_of(flags)?;
-    harness.plan(1, 1, &[("scale", u64::from(flags.scale))]);
+    harness.plan(1, 0, 1, &[("scale", u64::from(flags.scale))]);
     let compile_label = format!("compile:{spec}:{}@{}", input_name(flags.input), flags.scale);
     harness.task_start("compile", &compile_label);
     let compile_start = std::time::Instant::now();
@@ -1792,7 +1800,7 @@ fn cmd_fingerprint(flags: &Flags) -> Result<ExitCode, CliError> {
     let perturb_at = fp_perturb_env()?;
     let harness = harness_of(flags)?;
     let n = flags.positional.len() as u64;
-    harness.plan(n, n, &[("window", window)]);
+    harness.plan(n, 0, n, &[("window", window)]);
     let labels: Vec<String> = flags
         .positional
         .iter()

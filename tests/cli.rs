@@ -573,6 +573,28 @@ fn help_prints_usage_to_stdout_and_succeeds() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_usage_and_succeeds() {
+    for args in [
+        ["exp", "--help"],
+        ["bench", "-h"],
+        ["run", "--help"],
+        ["exp", "-h"],
+    ] {
+        let out = ccr().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage:\n"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+    // Help wins over anything else on the line, even a bad workload.
+    let out = ccr()
+        .args(["run", "no-such-benchmark", "--help"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
 fn malformed_memory_objects_are_errors_not_panics() {
     let fixture = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -13,10 +13,13 @@
 //!    through one shared engine compile and simulate each shared
 //!    point exactly once, with *pinned* hit/miss totals — the
 //!    single-flight discipline makes the counters deterministic, not
-//!    merely bounded.
+//!    merely bounded. That holds for fanned simulation groups too: two
+//!    racing overlapping plans give the serial run's outcomes and
+//!    totals.
 //! 3. **Cache mechanics**: LRU eviction order, the capacity-0
-//!    degenerate case, error non-caching, and the eviction exemption
-//!    of reuse-potential entries.
+//!    degenerate case, error non-caching, the eviction exemption of
+//!    reuse-potential entries, and multi-key group lookups that run
+//!    each key once without deadlock.
 //! 4. **The profile stage**: the compile cache value-profiles each
 //!    training build once (13 profiles for the registry's 117
 //!    compiles, one under an eight-thread race), never caches a
@@ -190,6 +193,111 @@ fn concurrent_overlapping_sweeps_dedup_with_pinned_counts() {
     }
 }
 
+/// A tiny sweep whose scenarios share event streams: the paper
+/// machine, a wider one and a harsher reuse-miss penalty all read the
+/// paper CRB's stream, and a 16-instance CRB compiles under its own
+/// region configuration.
+fn fanned_spec(name: &'static str, extra: MachineConfig) -> exp::ExperimentSpec {
+    let paper = MachineConfig::paper();
+    let crb16 = CrbConfig {
+        instances: 16,
+        ..CrbConfig::paper()
+    };
+    let region = RegionConfig::paper();
+    exp::ExperimentSpec {
+        scenarios: vec![
+            exp::Scenario::new(
+                "paper",
+                InputSet::Train,
+                &region,
+                &paper,
+                CrbConfig::paper(),
+            ),
+            exp::Scenario::new(
+                "extra",
+                InputSet::Train,
+                &region,
+                &extra,
+                CrbConfig::paper(),
+            ),
+            exp::Scenario::new("ci16", InputSet::Train, &region, &paper, crb16),
+        ],
+        ..tiny_spec(name)
+    }
+}
+
+#[test]
+fn concurrent_overlapping_plans_match_serial_execution() {
+    let paper = MachineConfig::paper();
+    let wide = MachineConfig {
+        issue_width: 8,
+        int_alus: 5,
+        mem_ports: 2,
+        ..paper
+    };
+    let harsh = MachineConfig {
+        reuse_miss_penalty: 16,
+        ..paper
+    };
+    let a = fanned_spec("fan_a", wide);
+    let b = fanned_spec("fan_b", harsh);
+    let plans = [exp::plan(&[&a]), exp::plan(&[&a, &b])];
+    let harness = ccr::Harness::disabled();
+
+    let serial = Engine::new(2);
+    let expected: Vec<_> = plans
+        .iter()
+        .map(|plan| {
+            sim_view(
+                &serial
+                    .execute_plan(plan, &harness, None, None)
+                    .unwrap()
+                    .point_summaries(),
+            )
+        })
+        .collect();
+
+    let shared = Engine::new(2);
+    let barrier = std::sync::Barrier::new(2);
+    let observed: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = plans
+            .iter()
+            .map(|plan| {
+                let (shared, harness, barrier) = (&shared, &harness, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let executed = shared.execute_plan(plan, harness, None, None).unwrap();
+                    sim_view(&executed.point_summaries())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(
+        observed, expected,
+        "racing plans must compute what serial plans do"
+    );
+    // Single-flight over whole groups: each unique compile, sim and
+    // potential still runs exactly once, so the totals are the serial
+    // run's whoever wins each race.
+    let totals = |e: &Engine| {
+        (
+            e.compile_cache().hits(),
+            e.compile_cache().misses(),
+            e.result_cache().hits(),
+            e.result_cache().misses(),
+        )
+    };
+    assert_eq!(totals(&shared), totals(&serial));
+    // Plan A: 4 compiles (two region configurations), 4 baselines
+    // (two machine widths), 6 CCR points and 2 potentials; plan B
+    // repeats all of it and adds the 2 harsh-penalty CCR points.
+    assert_eq!(totals(&serial), (4, 4, 12, 14));
+}
+
 fn sim_of(cycles: u64) -> CachedSim {
     CachedSim {
         outcome: SimOutcome {
@@ -289,6 +397,72 @@ fn single_flight_runs_each_key_exactly_once_under_contention() {
     assert_eq!(computations.load(Ordering::SeqCst), 1);
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.hits(), 7);
+}
+
+#[test]
+fn group_lookups_run_each_key_once_without_deadlock() {
+    let metrics = MetricsRegistry::new();
+    let cache = SimResultCache::new(64, &metrics);
+    let runs: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+    let keys: Vec<String> = (0..6).map(|i| format!("k{i}")).collect();
+    let barrier = std::sync::Barrier::new(6);
+    std::thread::scope(|scope| {
+        for t in 0..6 {
+            let (cache, runs, keys, barrier) = (&cache, &runs, &keys, &barrier);
+            scope.spawn(move || {
+                // Overlapping windows in opposite orders, so threads
+                // hold keys the others wait for.
+                let mut mine: Vec<String> = (0..3).map(|j| keys[(t + j) % 6].clone()).collect();
+                if t % 2 == 1 {
+                    mine.reverse();
+                }
+                barrier.wait();
+                let values = cache
+                    .get_or_run_group(&mine, |idx| {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                        let mut runs = runs.lock().unwrap();
+                        Ok(idx
+                            .iter()
+                            .map(|&i| {
+                                runs.push(mine[i].clone());
+                                sim_of(mine[i][1..].parse().unwrap())
+                            })
+                            .collect())
+                    })
+                    .unwrap();
+                for (key, v) in mine.iter().zip(&values) {
+                    assert_eq!(v.outcome.stats.cycles, key[1..].parse::<u64>().unwrap());
+                }
+            });
+        }
+    });
+    let mut ran = runs.into_inner().unwrap();
+    ran.sort();
+    assert_eq!(ran, keys, "each key computed exactly once");
+    assert_eq!(cache.misses(), 6);
+    assert_eq!(cache.hits(), 12);
+}
+
+#[test]
+fn group_errors_are_never_cached() {
+    let metrics = MetricsRegistry::new();
+    let cache = SimResultCache::new(8, &metrics);
+    let keys = ["a".to_string(), "b".to_string()];
+    cache.get_or_run("a", || Ok(sim_of(1))).unwrap();
+    let Err(err) = cache.get_or_run_group(&keys, |idx| {
+        assert_eq!(idx, [1], "only the missing key runs");
+        Err("emulator limit".to_string())
+    }) else {
+        panic!("a failing group must surface its error");
+    };
+    assert_eq!(err, "emulator limit");
+    assert_eq!(cache.len(), 1);
+    let values = cache
+        .get_or_run_group(&keys, |idx| Ok(idx.iter().map(|_| sim_of(2)).collect()))
+        .unwrap();
+    assert_eq!(values[0].outcome.stats.cycles, 1);
+    assert_eq!(values[1].outcome.stats.cycles, 2);
+    assert_eq!((cache.hits(), cache.misses()), (2, 3));
 }
 
 #[test]

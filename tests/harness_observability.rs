@@ -153,6 +153,52 @@ fn tiny_exp_is_bit_identical_with_the_harness_live() {
 }
 
 #[test]
+fn summary_counts_workers_per_phase_and_potentials_apart() {
+    let spec = exp::ExperimentSpec {
+        potential: true,
+        ..tiny_spec("tiny_counts")
+    };
+    let plan = exp::plan(&[&spec]);
+    for jobs in [1, 2] {
+        let dir = temp_dir(&format!("ccr-harness-counts-{jobs}"));
+        let out = dir.join("harness.jsonl");
+        let harness = live_harness(&out);
+        exp::execute_observed(&plan, jobs, &harness).expect("observed run succeeds");
+        let summary = harness.finish().expect("live harness yields a summary");
+        // Prep and sim phases run on the same `jobs` workers: the
+        // summary reports that width, not the sum over phases.
+        assert_eq!(summary.workers, jobs, "--jobs {jobs}");
+        assert_eq!(summary.compiles, TINY_WORKLOADS.len() as u64);
+        assert_eq!(summary.potentials, TINY_WORKLOADS.len() as u64);
+        assert_eq!(summary.sims, 2 * TINY_WORKLOADS.len() as u64);
+        let text = std::fs::read_to_string(&out).unwrap();
+        let plan_line = text
+            .lines()
+            .find(|l| l.contains("\"ev\":\"plan\""))
+            .expect("plan event");
+        assert!(
+            plan_line.contains("\"compiles\":2,\"potentials\":2,\"sims\":4"),
+            "{plan_line}"
+        );
+        let summary_line = text.lines().last().expect("summary event");
+        assert!(
+            summary_line.contains(&format!(
+                "\"workers\":{jobs},\"compiles\":2,\"potentials\":2,"
+            )),
+            "{summary_line}"
+        );
+        // One stream per workload and input: base and CCR differ in
+        // their CRB, so each unit is its own pass here.
+        assert!(
+            text.contains("\"ev\":\"sim_groups\",")
+                && text.contains("\"units\":4,\"pipelines\":4,\"emu_passes\":4"),
+            "{text}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn harness_jsonl_schema_matches_the_committed_golden() {
     let spec = tiny_spec("tiny_schema");
     let plan = exp::plan(&[&spec]);
